@@ -9,8 +9,11 @@ verify: build vet staticcheck test race
 build:
 	go build ./...
 
+# The benchmark is a nested module, invisible to the root ./...: vet it
+# too, so an internal API change that breaks its build fails tier-1.
 vet:
 	go vet ./...
+	go vet -C benchmark ./...
 
 # staticcheck runs when the tool is on PATH (CI installs it; a local
 # checkout without it still gets the full verify, minus this pass).
@@ -30,10 +33,11 @@ race:
 figures:
 	go run ./cmd/kompbench -quick
 
-# bench-smoke runs the EPCC figures, the barrier-topology, tasking and
-# affinity ablations, and the per-construct profile twice at -quick scale and
-# diffs the outputs byte-for-byte: stdout must be a pure function of the
-# seed (simulator determinism). Not part of `verify` (it costs a couple
+# bench-smoke runs the eleven commands below — the two EPCC figures, the
+# eight ablations in the byte-identity set, and the per-construct
+# profile — twice at -quick scale and diffs the outputs byte-for-byte:
+# stdout must be a pure function of the seed (simulator determinism). Not
+# part of `verify` (it costs a couple
 # of builds) but documented next to it in ROADMAP.md; run it when
 # touching the runtime's synchronization paths or the instrumentation
 # spine.

@@ -26,6 +26,7 @@ import (
 	"github.com/interweaving/komp/internal/machine"
 	"github.com/interweaving/komp/internal/nas"
 	"github.com/interweaving/komp/internal/nautilus"
+	"github.com/interweaving/komp/internal/omp"
 )
 
 func main() {
@@ -110,6 +111,12 @@ func registerBuiltins(k *nautilus.Kernel) {
 	k.RegisterCommand("setenv", func(tc exec.TC, k *nautilus.Kernel, args []string) error {
 		if len(args) != 2 {
 			return fmt.Errorf("usage: setenv KEY VALUE")
+		}
+		// The in-kernel libomp reads these when the next benchmark builds
+		// its runtime; reject a value it would refuse now, at the prompt.
+		var probe omp.Options
+		if err := probe.Env(func(name string) (string, bool) { return args[1], name == args[0] }); err != nil {
+			return err
 		}
 		k.Setenv(args[0], args[1])
 		return nil

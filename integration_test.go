@@ -32,7 +32,7 @@ func TestRTKStoryEndToEnd(t *testing.T) {
 	env := core.New(core.Config{Machine: machine.PHI(), Kind: core.RTK, Seed: 9, Threads: 16})
 	k := env.Kernel
 	k.Setenv("OMP_NUM_THREADS", "16")
-	port, err := rtk.NewPort(k, rtk.Options{MaxThreads: 16})
+	port, err := rtk.NewPort(k, rtk.Options{OMP: omp.Options{MaxThreads: 16}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -330,7 +330,7 @@ func AblationBarrier(w io.Writer, opt Options) error {
 	// under the given barrier topology and returns the elapsed virtual ns.
 	region := func(algo omp.BarrierAlgo, n, rounds int, body func(wk *omp.Worker)) (int64, error) {
 		env := core.New(core.Config{Machine: m, Kind: core.RTK, Seed: opt.seed(),
-			Threads: n, BarrierAlgo: algo})
+			Threads: n, OMP: omp.Options{BarrierAlgo: algo}})
 		rt := env.OMPRuntime()
 		return env.Layer.Run(func(tc exec.TC) {
 			rt.Parallel(tc, n, func(wk *omp.Worker) {

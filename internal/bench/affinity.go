@@ -70,7 +70,7 @@ func AblationAffinity(w io.Writer, opt Options) error {
 	// team drifts). With rove, the master hops one socket per region.
 	run := func(mach *machine.Machine, spec string, n int, c cell, rove bool) (result, error) {
 		env := core.New(core.Config{Machine: mach, Kind: core.RTK, Seed: opt.seed(),
-			Threads: n, Places: spec, ProcBind: c.bind})
+			Threads: n, OMP: omp.Options{PlacesSpec: spec, ProcBind: c.bind}})
 		rt := env.OMPRuntime()
 		perCPU := mach.CoresPerSocket * mach.SMT()
 		zoneOf := make([]int, mach.NumCPUs())
@@ -216,8 +216,8 @@ func AblationAffinity(w io.Writer, opt Options) error {
 	const taskNS = 300
 	stealRun := func(order omp.StealOrder) (int64, int64, int64, error) {
 		env := core.New(core.Config{Machine: m, Kind: core.RTK, Seed: opt.seed(),
-			Threads: stealThreads, Places: "cores", ProcBind: places.BindClose,
-			StealOrder: order})
+			Threads: stealThreads, OMP: omp.Options{PlacesSpec: "cores",
+				ProcBind: places.BindClose, StealOrder: order}})
 		rt := env.OMPRuntime()
 		var t0, t1 int64
 		_, err := env.Layer.Run(func(tc exec.TC) {

@@ -47,7 +47,7 @@ func cancelLatency(w io.Writer, opt Options) error {
 
 	latency := func(prop omp.CancelProp, n int) (int64, error) {
 		env := core.New(core.Config{Machine: m, Kind: core.RTK, Seed: opt.seed(),
-			Threads: n, Cancellation: true, CancelProp: prop})
+			Threads: n, OMP: omp.Options{Cancellation: true, CancelProp: prop}})
 		rt := env.OMPRuntime()
 		var published int64
 		exit := make([]int64, n)

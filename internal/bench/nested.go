@@ -61,9 +61,10 @@ func AblationNested(w io.Writer, opt Options) error {
 	region := func(policy omp.NestedPoolPolicy, n, rounds int) (int64, error) {
 		inner := n / outer
 		env := core.New(core.Config{Machine: m, Kind: core.RTK, Seed: opt.seed(),
-			Threads: n, MaxActiveLevels: 2, NumThreadsList: []int{outer, inner},
-			NestedPool: policy, Places: "sockets", ProcBind: places.BindSpread,
-			ProcBindList: []places.Bind{places.BindSpread, places.BindClose}})
+			Threads: n, OMP: omp.Options{
+				MaxActiveLevels: 2, NumThreadsList: []int{outer, inner},
+				NestedPool: policy, PlacesSpec: "sockets", ProcBind: places.BindSpread,
+				ProcBindList: []places.Bind{places.BindSpread, places.BindClose}}})
 		rt := env.OMPRuntime()
 		return env.Layer.Run(func(tc exec.TC) {
 			rt.Parallel(tc, outer, func(ow *omp.Worker) {
@@ -127,9 +128,10 @@ func AblationNested(w io.Writer, opt Options) error {
 			inner = 1
 		}
 		env := core.New(core.Config{Machine: m, Kind: core.RTK, Seed: opt.seed(),
-			Threads: n, MaxActiveLevels: maxLevels, NumThreadsList: []int{planes, inner},
-			Places: "sockets", ProcBind: places.BindSpread,
-			ProcBindList: []places.Bind{places.BindSpread, places.BindClose}})
+			Threads: n, OMP: omp.Options{
+				MaxActiveLevels: maxLevels, NumThreadsList: []int{planes, inner},
+				PlacesSpec: "sockets", ProcBind: places.BindSpread,
+				ProcBindList: []places.Bind{places.BindSpread, places.BindClose}}})
 		rt := env.OMPRuntime()
 		const workNS = 2000
 		return env.Layer.Run(func(tc exec.TC) {

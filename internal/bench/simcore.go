@@ -14,7 +14,7 @@ import (
 )
 
 // AblationSimcore measures the DES core itself, on both queue
-// algorithms (KOMP_SIM_EQ): first a raw event-storm throughput sweep —
+// algorithms (sim.NewEQ): first a raw event-storm throughput sweep —
 // per-core timer streams, same-timestamp barrier-release storms, and
 // armed-then-cancelled alarms, the event mix the simulated kernels
 // generate — across {24..1024} simulated cores, then an end-to-end RTK
@@ -127,7 +127,7 @@ func AblationSimcore(w io.Writer, opt Options) error {
 	}
 	eps := func(c cell) float64 { return float64(c.events) / c.wallSec }
 
-	fmt.Fprintf(w, "Ablation: DES event queue — binary heap vs timer wheel (KOMP_SIM_EQ)\n")
+	fmt.Fprintf(w, "Ablation: DES event queue — binary heap vs timer wheel\n")
 	fmt.Fprintf(w, "Event storm: per-core ticks + same-timestamp releases + cancelled alarms, %d virtual us\n", horizon/1000)
 	fmt.Fprintf(w, "%-6s %-6s %12s %10s %7s\n", "cores", "eq", "events", "spilled", "agree")
 	for _, n := range scales {

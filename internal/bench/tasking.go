@@ -90,8 +90,9 @@ func AblationTasking(w io.Writer, opt Options) error {
 		// assumes distance-blind victim selection. The locality-aware
 		// nearest-first default is the affinity ablation's subject.
 		env := core.New(core.Config{Machine: m, Kind: kind, Seed: opt.seed(), Threads: n,
-			TaskDeque: c.algo, TaskStealTries: c.fanout, TaskCutoff: c.cutoff,
-			StealOrder: omp.StealRR, Spine: sp})
+			OMP: omp.Options{TaskDeque: c.algo, TaskStealTries: c.fanout, TaskCutoff: c.cutoff,
+				StealOrder: omp.StealRR},
+			Spine: sp})
 		rt := env.OMPRuntime()
 		perProducer := 2 * tasksPerCore
 		var t0, t1 int64

@@ -27,6 +27,7 @@ import (
 	"github.com/interweaving/komp/internal/ompt"
 	"github.com/interweaving/komp/internal/places"
 	"github.com/interweaving/komp/internal/pthread"
+	"github.com/interweaving/komp/internal/rtk"
 	"github.com/interweaving/komp/internal/sim"
 	"github.com/interweaving/komp/internal/virgil"
 )
@@ -84,53 +85,18 @@ type Config struct {
 	// BootImageBytes models statics linked into the kernel image
 	// (RTK/CCK only).
 	BootImageBytes int64
-	// PthreadImpl overrides the pthread layer (RTK defaults to Custom).
-	PthreadImpl pthread.Impl
 	// ForceImmediate forces the kernel environments onto immediate
 	// (allocation-time local) placement regardless of thread count —
 	// the baseline of the §6.3 first-touch ablation.
 	ForceImmediate bool
-	// BarrierAlgo selects the OpenMP barrier topology (zero value:
-	// hierarchical combining tree); BarrierFanout its arity (0 = default).
-	// Exposed for the barrier-topology ablation.
-	BarrierAlgo   omp.BarrierAlgo
-	BarrierFanout int
-	// TaskDeque selects the task deque algorithm (zero value:
-	// Chase–Lev), TaskCutoff the queue-depth serialization threshold
-	// (0 = off), TaskStealTries the steal fanout (0 = all teammates).
-	// Exposed for the tasking ablation.
-	TaskDeque      omp.TaskDequeAlgo
-	TaskCutoff     int
-	TaskStealTries int
-	// Places is an OMP_PLACES-style specification parsed over the
-	// machine's topology (empty = one place per core); ProcBind the
-	// OMP_PROC_BIND policy (zero value defers to the legacy close-over-
-	// cores placement); StealOrder the task-steal victim sweep order.
-	// Exposed for the affinity ablation.
-	Places     string
-	ProcBind   places.Bind
-	StealOrder omp.StealOrder
-	// Cancellation enables the cancel constructs (the OMP_CANCELLATION
-	// ICV); CancelProp selects flat vs tree cancel-bit propagation;
-	// RegionDeadlineNS arms a deadline on every parallel region
-	// (KOMP_REGION_DEADLINE; 0 = off). Exposed for the cancel ablation.
-	Cancellation     bool
-	CancelProp       omp.CancelProp
-	RegionDeadlineNS int64
-	// MaxActiveLevels caps how many nested parallel regions may be
-	// active at once (the OMP_MAX_ACTIVE_LEVELS ICV; 0 = 1, nested
-	// regions serialize); NumThreadsList is the per-level team-size
-	// list of a comma-list OMP_NUM_THREADS; ProcBindList the per-level
-	// binding list of a comma-nested OMP_PROC_BIND; NestedPool the
-	// inner-team lease policy (KOMP_NESTED_POOL). Exposed for the
-	// nested-parallelism ablation.
-	MaxActiveLevels int
-	NumThreadsList  []int
-	ProcBindList    []places.Bind
-	NestedPool      omp.NestedPoolPolicy
-	// SimEQ selects the simulator's event-queue algorithm (the
-	// KOMP_SIM_EQ ICV; zero value resolves the environment variable,
-	// wheel when unset, heap as the differential-testing baseline).
+	// OMP carries the OpenMP ICVs of the runtime OMPRuntime builds. The
+	// environment decides the rest itself and overwrites whatever is set
+	// here: MaxThreads (Threads), Bind, Places (PlacesSpec parsed over
+	// the machine's topology), Spine, Device, and PthreadImpl outside RTK
+	// (RTK takes PTE or Custom from here, Custom by default).
+	OMP omp.Options
+	// SimEQ selects the simulator's event-queue algorithm (zero value:
+	// the wheel; the heap is the differential-testing baseline).
 	SimEQ sim.EQAlgo
 	// Spine, if non-nil, is threaded through every layer the environment
 	// assembles — the exec layer (thread events), the OpenMP runtime or
@@ -156,25 +122,10 @@ type Env struct {
 	// FirstTouch reports the active NUMA placement policy.
 	FirstTouch bool
 
-	tlb            memsim.TLBModel
-	pthreadImpl    pthread.Impl
-	threads        int
-	barrierAlgo    omp.BarrierAlgo
-	barrierFanout  int
-	taskDeque      omp.TaskDequeAlgo
-	taskCutoff     int
-	taskStealTries int
-	placesSpec     string
-	procBind       places.Bind
-	stealOrder     omp.StealOrder
-	cancellation   bool
-	cancelProp     omp.CancelProp
-	regionDeadline int64
-	maxActive      int
-	numThreadsList []int
-	procBindList   []places.Bind
-	nestedPool     omp.NestedPoolPolicy
-	spine          *ompt.Spine
+	tlb     memsim.TLBModel
+	threads int
+	omp     omp.Options
+	spine   *ompt.Spine
 
 	devMu sync.Mutex
 	dev   *device.Dev
@@ -212,16 +163,7 @@ func New(cfg Config) *Env {
 		threads = m.NumCPUs()
 	}
 	e := &Env{Kind: cfg.Kind, Machine: m, tlb: memsim.TLBModel{Machine: m}, threads: threads,
-		barrierAlgo: cfg.BarrierAlgo, barrierFanout: cfg.BarrierFanout,
-		taskDeque: cfg.TaskDeque, taskCutoff: cfg.TaskCutoff, taskStealTries: cfg.TaskStealTries,
-		placesSpec: cfg.Places, procBind: cfg.ProcBind, stealOrder: cfg.StealOrder,
-		cancellation: cfg.Cancellation, cancelProp: cfg.CancelProp,
-		regionDeadline: cfg.RegionDeadlineNS,
-		maxActive:      cfg.MaxActiveLevels,
-		numThreadsList: cfg.NumThreadsList,
-		procBindList:   cfg.ProcBindList,
-		nestedPool:     cfg.NestedPool,
-		spine:          cfg.Spine}
+		omp: cfg.OMP, spine: cfg.Spine}
 
 	switch cfg.Kind {
 	case Linux, LinuxAutoMP:
@@ -229,7 +171,7 @@ func New(cfg Config) *Env {
 		e.AS = linuxsim.NewAddressSpace(m)
 		e.PageSize = 4 << 10
 		e.FirstTouch = true
-		e.pthreadImpl = pthread.NPTL
+		e.omp.PthreadImpl = pthread.NPTL
 
 	case RTK, PIK, CCK:
 		// The paper's 8XEON extension: first-touch at 2 MiB for 24+
@@ -255,13 +197,11 @@ func New(cfg Config) *Env {
 		e.BootImageStatics = cfg.Kind == RTK || cfg.Kind == CCK
 		switch cfg.Kind {
 		case RTK:
-			e.pthreadImpl = cfg.PthreadImpl
-			if e.pthreadImpl == pthread.NPTL {
-				e.pthreadImpl = pthread.Custom
-			}
+			// rtk.NewPort sets this too, but only once OMPRuntime runs;
+			// kernel work before that already saves FPU state lazily.
 			k.LazyFPU = true
 		case PIK:
-			e.pthreadImpl = pthread.NPTL
+			e.omp.PthreadImpl = pthread.NPTL
 			k.LazyFPU = true
 			k.ISTTrampoline = true
 			// PIK binaries see a slightly coarser effective page size
@@ -270,8 +210,6 @@ func New(cfg Config) *Env {
 			if !firstTouch {
 				e.PageSize = 2 << 20
 			}
-		case CCK:
-			e.pthreadImpl = pthread.Custom
 		}
 	default:
 		panic(fmt.Sprintf("core: unknown environment kind %d", cfg.Kind))
@@ -282,39 +220,30 @@ func New(cfg Config) *Env {
 
 // OMPRuntime builds the environment's OpenMP runtime (not meaningful for
 // CCK, which has no OpenMP runtime — §6.1's "no microbenchmark numbers
-// for CCK").
+// for CCK"). On RTK the runtime comes out of the §3 port (rtk.NewPort),
+// so kernel environment variables apply on top of Config.OMP.
 func (e *Env) OMPRuntime() *omp.Runtime {
 	if e.Kind == CCK {
 		panic("core: CCK has no OpenMP runtime to instantiate")
 	}
-	part, err := places.Parse(e.placesSpec, places.ForMachine(e.Machine))
+	opts := e.omp
+	opts.MaxThreads, opts.Bind = e.threads, true
+	opts.Spine, opts.Device = e.spine, e.Device()
+	if e.Kind == RTK {
+		// Config.OMP is programmatic; what the port can reject is a
+		// malformed kernel environment variable (Kernel.Setenv).
+		port, err := rtk.NewPort(e.Kernel, rtk.Options{OMP: opts})
+		if err != nil {
+			panic(fmt.Sprintf("core: %v", err))
+		}
+		return port.RT
+	}
+	part, err := places.Parse(opts.PlacesSpec, places.ForMachine(e.Machine))
 	if err != nil {
-		// Config.Places is programmatic, not user environment: a spec the
-		// machine cannot satisfy is a configuration bug.
+		// A spec the machine cannot satisfy is a configuration bug.
 		panic(fmt.Sprintf("core: %v", err))
 	}
-	opts := omp.Options{
-		MaxThreads:       e.threads,
-		Bind:             true,
-		Places:           part,
-		ProcBind:         e.procBind,
-		StealOrder:       e.stealOrder,
-		PthreadImpl:      e.pthreadImpl,
-		BarrierAlgo:      e.barrierAlgo,
-		BarrierFanout:    e.barrierFanout,
-		TaskDeque:        e.taskDeque,
-		TaskCutoff:       e.taskCutoff,
-		TaskStealTries:   e.taskStealTries,
-		Cancellation:     e.cancellation,
-		CancelProp:       e.cancelProp,
-		RegionDeadlineNS: e.regionDeadline,
-		MaxActiveLevels:  e.maxActive,
-		NumThreadsList:   e.numThreadsList,
-		ProcBindList:     e.procBindList,
-		NestedPool:       e.nestedPool,
-		Spine:            e.spine,
-		Device:           e.Device(),
-	}
+	opts.Places = part
 	return omp.New(e.Layer, opts)
 }
 

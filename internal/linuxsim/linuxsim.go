@@ -116,11 +116,11 @@ func NewAddressSpace(m *machine.Machine) *memsim.AddressSpace {
 
 // NewSim builds the simulator for a Linux run: machine CPUs, Linux noise.
 func NewSim(m *machine.Machine, seed int64) *sim.Sim {
-	return NewSimEQ(m, seed, sim.EQDefault)
+	return NewSimEQ(m, seed, sim.EQWheel)
 }
 
-// NewSimEQ is NewSim with an explicit event-queue algorithm (the
-// KOMP_SIM_EQ ICV, plumbed down from core.Config).
+// NewSimEQ is NewSim with an explicit event-queue algorithm
+// (core.Config.SimEQ).
 func NewSimEQ(m *machine.Machine, seed int64, eq sim.EQAlgo) *sim.Sim {
 	s := sim.NewEQ(m.NumCPUs(), seed, eq)
 	s.SetNoise(NewNoise(m))

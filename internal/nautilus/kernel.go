@@ -45,8 +45,8 @@ type Config struct {
 	// to its own CPU set.
 	Sim *sim.Sim
 	// EQ selects the simulator event-queue algorithm when Boot creates
-	// a fresh simulator (EQDefault: the KOMP_SIM_EQ ICV, wheel when
-	// unset). Ignored when Sim is supplied.
+	// a fresh simulator (zero value: the wheel). Ignored when Sim is
+	// supplied.
 	EQ sim.EQAlgo
 	// CPUs restricts the kernel to a CPU subset (nil: all CPUs). The
 	// scheduler, task system, and noise model honor it.

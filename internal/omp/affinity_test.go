@@ -234,7 +234,7 @@ func TestStealNearestPrefersNearRing(t *testing.T) {
 		t.Fatal("no steals in a single-producer flood")
 	}
 	// Thieves were built with nearest-first rings: the team is placed
-	// and StealAuto resolves to near, so every steal was classified.
+	// and the default sweep is near, so every steal was classified.
 	if rt.LocalSteals.Load()+rt.RemoteSteals.Load() != rt.TaskSteals.Load() {
 		t.Error("near sweep did not classify every steal")
 	}
@@ -248,21 +248,19 @@ func TestAffinityEnvParsing(t *testing.T) {
 	}
 	var o Options
 	err := o.Env(lookupIn(map[string]string{
-		"OMP_PLACES":       "sockets",
-		"OMP_PROC_BIND":    "spread",
-		"KOMP_STEAL_ORDER": "rr",
+		"OMP_PLACES":    "sockets",
+		"OMP_PROC_BIND": "spread",
 	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.PlacesSpec != "sockets" || o.ProcBind != places.BindSpread || !o.Bind || o.StealOrder != StealRR {
+	if o.PlacesSpec != "sockets" || o.ProcBind != places.BindSpread || !o.Bind || o.StealOrder != StealNear {
 		t.Errorf("parsed %+v", o)
 	}
 	for _, bad := range []map[string]string{
 		{"OMP_PLACES": "nodes"},
 		{"OMP_PLACES": "{0:"},
 		{"OMP_PROC_BIND": "sideways"},
-		{"KOMP_STEAL_ORDER": "far"},
 	} {
 		var o Options
 		if err := o.Env(lookupIn(bad)); err == nil {

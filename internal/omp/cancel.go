@@ -28,7 +28,7 @@ package omp
 // no news is a shared-state cache hit and free; the first poll after a
 // publish pays the line transfer. Under flat propagation every observer
 // misses on one central line — n workers serialize there, O(n) until
-// the last observer. Under tree propagation (KOMP_CANCEL_PROP=tree, the
+// the last observer. Under tree propagation (CancelPropTree, the
 // default when the team has a barrier tree) the bits ride the fanout-k
 /// arrival tree: pioneers copy the root's bits down their own path and
 // each line is shared by at most fanout workers, so the last observer is
@@ -36,9 +36,6 @@ package omp
 // (Thibault et al.) applied to cancellation.
 
 import (
-	"fmt"
-	"strings"
-
 	"github.com/interweaving/komp/internal/exec"
 	"github.com/interweaving/komp/internal/ompt"
 )
@@ -96,45 +93,21 @@ const (
 )
 
 // CancelProp selects how published cancel bits reach polling workers
-// (KOMP_CANCEL_PROP).
+// (Options.CancelProp).
 type CancelProp int
 
 // Propagation modes.
 const (
-	// CancelPropAuto (default): tree when the team has a barrier
-	// arrival tree (BarrierHier, n > 1), flat otherwise.
-	CancelPropAuto CancelProp = iota
+	// CancelPropTree (the default): the bits propagate down the fanout-k
+	// barrier tree; each line is shared by at most fanout workers, so
+	// the team observes cancellation in O(fanout·log n) serialized
+	// transfers. A team without an arrival tree (not BarrierHier, or
+	// n == 1) falls back to flat.
+	CancelPropTree CancelProp = iota
 	// CancelPropFlat: every poll reads one central word; after a
 	// publish all n observers miss on the same line and serialize.
 	CancelPropFlat
-	// CancelPropTree: the bits propagate down the fanout-k barrier
-	// tree; each line is shared by at most fanout workers, so the team
-	// observes cancellation in O(fanout·log n) serialized transfers.
-	CancelPropTree
 )
-
-func (p CancelProp) String() string {
-	switch p {
-	case CancelPropFlat:
-		return "flat"
-	case CancelPropTree:
-		return "tree"
-	}
-	return "auto"
-}
-
-// ParseCancelProp parses a KOMP_CANCEL_PROP-style string.
-func ParseCancelProp(s string) (CancelProp, error) {
-	switch strings.TrimSpace(strings.ToLower(s)) {
-	case "auto", "":
-		return CancelPropAuto, nil
-	case "flat":
-		return CancelPropFlat, nil
-	case "tree":
-		return CancelPropTree, nil
-	}
-	return 0, fmt.Errorf("omp: unknown cancel propagation %q (want auto, flat or tree)", s)
-}
 
 // orWord atomically ORs bits into w, reporting whether any bit was new.
 func orWord(w *exec.Word, bits uint32) bool {

@@ -41,17 +41,6 @@ func (a TaskDequeAlgo) String() string {
 	return "chase-lev"
 }
 
-// ParseTaskDequeAlgo parses a KOMP_TASK_DEQUE-style string.
-func ParseTaskDequeAlgo(s string) (TaskDequeAlgo, bool) {
-	switch s {
-	case "chase-lev", "chaselev", "cl":
-		return DequeChaseLev, true
-	case "mutex":
-		return DequeMutex, true
-	}
-	return 0, false
-}
-
 // taskDeque is the per-worker deque interface. Only the owning worker
 // calls push/pop; any teammate may call steal; size is advisory (the
 // cutoff heuristic reads it racily).

@@ -52,6 +52,14 @@ func run(t *testing.T, mk func() exec.Layer, opts Options, body func(rt *Runtime
 	}
 }
 
+// onSimulator reports whether rt runs on the DES. Assertions about what
+// is still running after some Charge hold only there: Charge advances
+// virtual time and is a no-op on the real layer.
+func onSimulator(rt *Runtime) bool {
+	_, ok := rt.Layer().(*exec.SimLayer)
+	return ok
+}
+
 func forBothLayers(t *testing.T, opts Options, body func(rt *Runtime, tc exec.TC)) {
 	for name, mk := range testLayers() {
 		t.Run(name, func(t *testing.T) { run(t, mk, opts, body) })

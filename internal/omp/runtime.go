@@ -18,7 +18,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/interweaving/komp/internal/device"
 	"github.com/interweaving/komp/internal/exec"
@@ -72,13 +71,13 @@ func ParseSchedule(s string) (Schedule, int, error) {
 	case "affinity":
 		kind = Affinity
 	default:
-		return 0, 0, fmt.Errorf("omp: unknown schedule %q", parts[0])
+		return 0, 0, fmt.Errorf("unknown schedule %q", parts[0])
 	}
 	chunk := 0
 	if len(parts) == 2 {
 		n, err := strconv.Atoi(strings.TrimSpace(parts[1]))
 		if err != nil {
-			return 0, 0, fmt.Errorf("omp: bad chunk in %q: %v", s, err)
+			return 0, 0, fmt.Errorf("bad chunk in %q: %v", s, err)
 		}
 		chunk = n
 	}
@@ -118,57 +117,26 @@ func (b BarrierAlgo) String() string {
 	}
 }
 
-// ParseBarrierAlgo parses a KOMP_BARRIER_ALGO-style string.
-func ParseBarrierAlgo(s string) (BarrierAlgo, error) {
-	switch strings.TrimSpace(strings.ToLower(s)) {
-	case "hier", "hierarchical":
-		return BarrierHier, nil
-	case "flat":
-		return BarrierFlat, nil
-	case "tree":
-		return BarrierTree, nil
-	}
-	return 0, fmt.Errorf("omp: unknown barrier algorithm %q", s)
-}
-
 // StealOrder selects the order a thief sweeps victims in.
 type StealOrder int
 
 // Steal sweep orders.
 const (
-	// StealAuto (the default): nearest-first when the team has a managed
-	// placement, round-robin otherwise.
-	StealAuto StealOrder = iota
-	// StealNear probes victims nearest-socket-first — same place, then
-	// same socket, then remote by increasing NUMA distance — rotating
-	// within each ring, so steals stay local while local work exists.
-	StealNear
+	// StealNear (the default) probes victims nearest-socket-first — same
+	// place, then same socket, then remote by increasing NUMA distance —
+	// rotating within each ring, so steals stay local while local work
+	// exists. It needs a managed placement; unplaced teams sweep
+	// round-robin.
+	StealNear StealOrder = iota
 	// StealRR is the flat round-robin sweep (the pre-places behavior).
 	StealRR
 )
 
 func (s StealOrder) String() string {
-	switch s {
-	case StealNear:
-		return "near"
-	case StealRR:
+	if s == StealRR {
 		return "rr"
-	default:
-		return "auto"
 	}
-}
-
-// ParseStealOrder parses a KOMP_STEAL_ORDER-style string.
-func ParseStealOrder(s string) (StealOrder, error) {
-	switch strings.TrimSpace(strings.ToLower(s)) {
-	case "auto":
-		return StealAuto, nil
-	case "near", "nearest":
-		return StealNear, nil
-	case "rr", "round-robin":
-		return StealRR, nil
-	}
-	return 0, fmt.Errorf("omp: unknown steal order %q", s)
+	return "near"
 }
 
 // NestedPoolPolicy selects what an inner team does with its worker
@@ -195,17 +163,6 @@ func (p NestedPoolPolicy) String() string {
 		return "return"
 	}
 	return "hold"
-}
-
-// ParseNestedPool parses a KOMP_NESTED_POOL-style string.
-func ParseNestedPool(s string) (NestedPoolPolicy, error) {
-	switch strings.TrimSpace(strings.ToLower(s)) {
-	case "", "hold":
-		return NestedPoolHold, nil
-	case "return":
-		return NestedPoolReturn, nil
-	}
-	return 0, fmt.Errorf("omp: unknown nested pool policy %q (want hold or return)", s)
 }
 
 // Options configures the runtime (the internal control variables).
@@ -270,8 +227,8 @@ type Options struct {
 	// team subpartitions its master's place). Empty means ProcBind at
 	// every level.
 	ProcBindList []places.Bind
-	// StealOrder selects the task-steal victim sweep order
-	// (KOMP_STEAL_ORDER; default nearest-first when placed).
+	// StealOrder selects the task-steal victim sweep order. Set in code
+	// only: StealRR is the affinity ablation's reference sweep.
 	StealOrder StealOrder
 	// PthreadImpl selects the pthread layer variant beneath the runtime
 	// (NPTL for Linux/PIK, PTE or Custom for RTK).
@@ -279,8 +236,8 @@ type Options struct {
 	// ForkChargeNS is the dispatching-side setup cost per forked worker
 	// (work-descriptor writes, cache line pushes).
 	ForkChargeNS int64
-	// BarrierAlgo selects the barrier arrival/release algorithm
-	// (default hierarchical).
+	// BarrierAlgo selects the barrier arrival/release algorithm. Set in
+	// code only: flat and tree are the barrier ablation's references.
 	BarrierAlgo BarrierAlgo
 	// BarrierFanout is the arity of the barrier arrival/release trees
 	// (KOMP_BARRIER_FANOUT; default 4, libomp's branching factor).
@@ -289,8 +246,8 @@ type Options struct {
 	// its ForkFanout children in Parallel and woken workers forward the
 	// remaining dispatches (KOMP_FORK_FANOUT; default 4).
 	ForkFanout int
-	// TaskDeque selects the per-worker task deque algorithm
-	// (KOMP_TASK_DEQUE; default Chase–Lev).
+	// TaskDeque selects the per-worker task deque algorithm. Set in code
+	// only: DequeMutex is the tasking ablation's reference.
 	TaskDeque TaskDequeAlgo
 	// TaskCutoff is the queue-depth cutoff: a thread whose own deque
 	// already holds this many ready tasks executes further tasks
@@ -313,11 +270,8 @@ type Options struct {
 	// branch, and the runtime is bit-identical to one built without the
 	// subsystem.
 	Cancellation bool
-	// CancelProp selects how cancel bits reach polling workers
-	// (KOMP_CANCEL_PROP): flat — one central word all n observers miss
-	// on, O(n) to the last observer — or tree, riding the fanout-k
-	// barrier tree for O(fanout·log n). Auto (default) picks tree
-	// whenever the hierarchical barrier is in use.
+	// CancelProp selects how cancel bits reach polling workers. Set in
+	// code only: flat is the cancel ablation's reference.
 	CancelProp CancelProp
 	// RegionDeadlineNS arms a deadline on every parallel region
 	// (KOMP_REGION_DEADLINE): a region still running that many
@@ -360,200 +314,11 @@ type Options struct {
 	// consumer: New attaches it to Spine (creating one if needed).
 	Tracer *trace.Tracer
 	// Warnings collects non-fatal configuration diagnostics Env found —
-	// e.g. an OMP_PROC_BIND list with more levels than
-	// OMP_MAX_ACTIVE_LEVELS allows to ever apply. Callers surface them
-	// however their environment reports (stderr, kernel log).
+	// an OMP_PROC_BIND list with more levels than OMP_MAX_ACTIVE_LEVELS
+	// allows to ever apply, a KOMP_REGION_DEADLINE that OMP_CANCELLATION
+	// leaves inert. Callers surface them however their environment
+	// reports (stderr, kernel log).
 	Warnings []string
-}
-
-// Env reads OpenMP environment variables ("OMP_NUM_THREADS",
-// "OMP_SCHEDULE") from a lookup function (kernel env vars in RTK, the
-// emulated process environment in PIK) into Options.
-func (o *Options) Env(lookup func(string) (string, bool)) error {
-	if v, ok := lookup("OMP_NUM_THREADS"); ok {
-		parts := strings.Split(v, ",")
-		if len(parts) == 1 {
-			// Single value: historic semantics (any integer accepted;
-			// New clamps non-positive values to the default).
-			n, err := strconv.Atoi(strings.TrimSpace(v))
-			if err != nil {
-				return fmt.Errorf("omp: OMP_NUM_THREADS=%q: %v", v, err)
-			}
-			o.DefaultThreads = n
-		} else {
-			// Comma list: per-nesting-level team sizes, every entry a
-			// positive integer (OpenMP 5.x nesting form).
-			list := make([]int, len(parts))
-			for i, p := range parts {
-				n, err := strconv.Atoi(strings.TrimSpace(p))
-				if err != nil || n < 1 {
-					return fmt.Errorf("omp: OMP_NUM_THREADS=%q: entry %d: want a positive integer", v, i+1)
-				}
-				list[i] = n
-			}
-			o.DefaultThreads, o.NumThreadsList = list[0], list
-		}
-	}
-	if v, ok := lookup("OMP_MAX_ACTIVE_LEVELS"); ok {
-		n, err := strconv.Atoi(strings.TrimSpace(v))
-		if err != nil || n < 1 {
-			return fmt.Errorf("omp: OMP_MAX_ACTIVE_LEVELS=%q: want a positive integer", v)
-		}
-		o.MaxActiveLevels = n
-	}
-	if v, ok := lookup("KOMP_NESTED_POOL"); ok {
-		p, err := ParseNestedPool(v)
-		if err != nil {
-			return err
-		}
-		o.NestedPool = p
-	}
-	if v, ok := lookup("KOMP_HOT_TEAMS_MAX"); ok {
-		n, err := strconv.Atoi(strings.TrimSpace(v))
-		if err != nil || n < 1 {
-			return fmt.Errorf("omp: KOMP_HOT_TEAMS_MAX=%q: want a positive integer", v)
-		}
-		o.HotTeamsMax = n
-	}
-	if v, ok := lookup("OMP_SCHEDULE"); ok {
-		kind, chunk, err := ParseSchedule(v)
-		if err != nil {
-			return err
-		}
-		o.Schedule, o.Chunk = kind, chunk
-	}
-	if v, ok := lookup("KOMP_BARRIER_ALGO"); ok {
-		algo, err := ParseBarrierAlgo(v)
-		if err != nil {
-			return err
-		}
-		o.BarrierAlgo = algo
-	}
-	if v, ok := lookup("KOMP_BARRIER_FANOUT"); ok {
-		n, err := strconv.Atoi(strings.TrimSpace(v))
-		if err != nil || n < 2 {
-			return fmt.Errorf("omp: KOMP_BARRIER_FANOUT=%q: want an integer >= 2", v)
-		}
-		o.BarrierFanout = n
-	}
-	if v, ok := lookup("KOMP_FORK_FANOUT"); ok {
-		n, err := strconv.Atoi(strings.TrimSpace(v))
-		if err != nil || n < 1 {
-			return fmt.Errorf("omp: KOMP_FORK_FANOUT=%q: want a positive integer", v)
-		}
-		o.ForkFanout = n
-	}
-	if v, ok := lookup("KOMP_TASK_DEQUE"); ok {
-		algo, ok := ParseTaskDequeAlgo(strings.TrimSpace(strings.ToLower(v)))
-		if !ok {
-			return fmt.Errorf("omp: KOMP_TASK_DEQUE=%q: want chase-lev or mutex", v)
-		}
-		o.TaskDeque = algo
-	}
-	if v, ok := lookup("KOMP_TASK_CUTOFF"); ok {
-		n, err := strconv.Atoi(strings.TrimSpace(v))
-		if err != nil || n < 0 {
-			return fmt.Errorf("omp: KOMP_TASK_CUTOFF=%q: want a non-negative integer", v)
-		}
-		o.TaskCutoff = n
-	}
-	if v, ok := lookup("KOMP_TASK_STEAL_TRIES"); ok {
-		n, err := strconv.Atoi(strings.TrimSpace(v))
-		if err != nil || n < 0 {
-			return fmt.Errorf("omp: KOMP_TASK_STEAL_TRIES=%q: want a non-negative integer", v)
-		}
-		o.TaskStealTries = n
-	}
-	if v, ok := lookup("OMP_PLACES"); ok {
-		// The real topology is not known until New; validate the grammar
-		// here against an effectively unbounded flat topology so spec
-		// errors surface as errors, not as a panic later.
-		if _, err := places.Parse(v, places.Flat(1<<20)); err != nil {
-			return fmt.Errorf("omp: OMP_PLACES=%q: %v", v, err)
-		}
-		o.PlacesSpec = v
-	}
-	if v, ok := lookup("OMP_PROC_BIND"); ok {
-		list, err := places.ParseBindList(v)
-		if err != nil {
-			return fmt.Errorf("omp: OMP_PROC_BIND=%q: %v", v, err)
-		}
-		o.ProcBind = list[0]
-		if len(list) > 1 {
-			o.ProcBindList = list
-		}
-		if list[0] != places.BindFalse {
-			o.Bind = true
-		}
-	}
-	if v, ok := lookup("KOMP_STEAL_ORDER"); ok {
-		so, err := ParseStealOrder(v)
-		if err != nil {
-			return fmt.Errorf("omp: KOMP_STEAL_ORDER=%q: %v", v, err)
-		}
-		o.StealOrder = so
-	}
-	if v, ok := lookup("OMP_CANCELLATION"); ok {
-		b, err := strconv.ParseBool(strings.TrimSpace(strings.ToLower(v)))
-		if err != nil {
-			return fmt.Errorf("omp: OMP_CANCELLATION=%q: want true or false", v)
-		}
-		o.Cancellation = b
-	}
-	if v, ok := lookup("KOMP_CANCEL_PROP"); ok {
-		cp, err := ParseCancelProp(v)
-		if err != nil {
-			return err
-		}
-		o.CancelProp = cp
-	}
-	if v, ok := lookup("KOMP_RESILIENT"); ok {
-		b, err := strconv.ParseBool(strings.TrimSpace(strings.ToLower(v)))
-		if err != nil {
-			return fmt.Errorf("omp: KOMP_RESILIENT=%q: want true or false", v)
-		}
-		o.Resilient = b
-	}
-	if v, ok := lookup("OMP_DEFAULT_DEVICE"); ok {
-		n, err := strconv.Atoi(strings.TrimSpace(v))
-		if err != nil {
-			return fmt.Errorf("omp: OMP_DEFAULT_DEVICE=%q: want an integer (negative for host fallback)", v)
-		}
-		o.DefaultDevice = n
-	}
-	if v, ok := lookup("KOMP_DEVICE"); ok {
-		cus, lanes, err := parseDeviceGeometry(v)
-		if err != nil {
-			return err
-		}
-		o.DeviceCUs, o.DeviceLanes = cus, lanes
-	}
-	if v, ok := lookup("KOMP_DEVICE_MEM"); ok {
-		b, err := parseBytes(v)
-		if err != nil {
-			return fmt.Errorf("omp: KOMP_DEVICE_MEM=%q: want bytes with an optional k/m/g suffix", v)
-		}
-		o.DeviceMemBytes = b
-	}
-	if v, ok := lookup("KOMP_REGION_DEADLINE"); ok {
-		d, err := time.ParseDuration(strings.TrimSpace(v))
-		if err != nil || d < 0 {
-			return fmt.Errorf("omp: KOMP_REGION_DEADLINE=%q: want a non-negative duration (e.g. 50ms)", v)
-		}
-		o.RegionDeadlineNS = int64(d)
-	}
-	// Cross-variable diagnostic: a per-level OMP_PROC_BIND list reaching
-	// past the active-level cap used to be silently ignored — surface it.
-	maxLvl := o.MaxActiveLevels
-	if maxLvl <= 0 {
-		maxLvl = 1
-	}
-	if len(o.ProcBindList) > maxLvl {
-		o.Warnings = append(o.Warnings, fmt.Sprintf(
-			"omp: OMP_PROC_BIND lists %d levels but OMP_MAX_ACTIVE_LEVELS=%d: entries past level %d will never apply",
-			len(o.ProcBindList), maxLvl, maxLvl))
-	}
-	return nil
 }
 
 // Runtime is an OpenMP runtime instance.
@@ -727,14 +492,7 @@ func (rt *Runtime) procBindAt(level int) places.Bind {
 // stealNear reports whether thieves should sweep victims nearest-first
 // for a team with placement cpus (nil means unplaced).
 func (rt *Runtime) stealNear(cpus []int) bool {
-	switch rt.opts.StealOrder {
-	case StealNear:
-		return cpus != nil
-	case StealRR:
-		return false
-	default:
-		return cpus != nil
-	}
+	return cpus != nil && rt.opts.StealOrder != StealRR
 }
 
 // Layer returns the runtime's execution layer.

@@ -5,7 +5,8 @@
 package omp
 
 import (
-	"fmt"
+	"errors"
+	"math"
 	"strconv"
 	"strings"
 
@@ -14,24 +15,22 @@ import (
 	"github.com/interweaving/komp/internal/machine"
 )
 
-// parseDeviceGeometry reads a KOMP_DEVICE value: "cus,lanes", both
+// setDeviceGeometry is the KOMP_DEVICE setter: "cus,lanes", both
 // positive integers (e.g. "16,64" — 16 compute units of 64 lanes).
-func parseDeviceGeometry(s string) (cus, lanes int, err error) {
+func setDeviceGeometry(o *Options, s string) error {
 	a, b, ok := strings.Cut(strings.TrimSpace(s), ",")
-	if ok {
-		cus, err = strconv.Atoi(strings.TrimSpace(a))
-		if err == nil {
-			lanes, err = strconv.Atoi(strings.TrimSpace(b))
-		}
+	cus, errA := strconv.Atoi(strings.TrimSpace(a))
+	lanes, errB := strconv.Atoi(strings.TrimSpace(b))
+	if !ok || errA != nil || errB != nil || cus < 1 || lanes < 1 {
+		return errors.New("want cus,lanes (two positive integers)")
 	}
-	if !ok || err != nil || cus < 1 || lanes < 1 {
-		return 0, 0, fmt.Errorf("omp: KOMP_DEVICE=%q: want cus,lanes (two positive integers)", s)
-	}
-	return cus, lanes, nil
+	o.DeviceCUs, o.DeviceLanes = cus, lanes
+	return nil
 }
 
-// parseBytes reads a byte count with an optional k/m/g suffix.
-func parseBytes(s string) (int64, error) {
+// setDeviceMem is the KOMP_DEVICE_MEM setter: a positive byte count with
+// an optional k/m/g suffix.
+func setDeviceMem(o *Options, s string) error {
 	t := strings.TrimSpace(strings.ToLower(s))
 	mult := int64(1)
 	switch {
@@ -43,10 +42,11 @@ func parseBytes(s string) (int64, error) {
 		t, mult = t[:len(t)-1], 1<<10
 	}
 	n, err := strconv.ParseInt(strings.TrimSpace(t), 10, 64)
-	if err != nil || n <= 0 {
-		return 0, fmt.Errorf("bad byte count %q", s)
+	if err != nil || n <= 0 || n > math.MaxInt64/mult {
+		return errors.New("want a positive byte count with an optional k/m/g suffix")
 	}
-	return n * mult, nil
+	o.DeviceMemBytes = n * mult
+	return nil
 }
 
 // Device returns the runtime's accelerator, initializing it lazily from

@@ -269,7 +269,7 @@ func (w *Worker) finishTask(t *task) {
 
 // runOneTask executes one ready task: own deque first (bottom), then
 // steals from teammates (top). Placed teams sweep victims nearest-first
-// (stealNearest); unplaced teams — and KOMP_STEAL_ORDER=rr — probe at
+// (stealNearest); unplaced teams — and StealRR — probe at
 // most TaskStealTries victims round-robin, with the start point rotating
 // even when the sweep fails so retries do not rescan the same victims in
 // the same order. It reports whether a task ran.

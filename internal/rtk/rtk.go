@@ -13,7 +13,7 @@ import (
 	"github.com/interweaving/komp/internal/exec"
 	"github.com/interweaving/komp/internal/nautilus"
 	"github.com/interweaving/komp/internal/omp"
-	"github.com/interweaving/komp/internal/ompt"
+	"github.com/interweaving/komp/internal/places"
 	"github.com/interweaving/komp/internal/pthread"
 )
 
@@ -56,18 +56,15 @@ func (b BuildConfig) Validate() error {
 
 // Options configures the port.
 type Options struct {
-	// PthreadImpl selects the compatibility layer variant: PTE (the
+	// OMP is the in-kernel libomp's starting configuration; kernel
+	// environment variables are applied on top of it (§3.4). Its
+	// PthreadImpl selects the compatibility layer variant — PTE (the
 	// portable port, Fig. 2a) or Custom (the Nautilus-customized layer,
-	// Fig. 2b). Defaults to Custom.
-	PthreadImpl pthread.Impl
-	// MaxThreads caps the OpenMP pool (default: all CPUs).
-	MaxThreads int
+	// Fig. 2b), the default — and workers are always bound: kernel
+	// threads are created on their CPU.
+	OMP omp.Options
 	// Build is validated at port time.
 	Build *BuildConfig
-	// Spine, if non-nil, is handed to the in-kernel OpenMP runtime so
-	// the ported libomp emits the same instrumentation stream as the
-	// user-level one.
-	Spine *ompt.Spine
 }
 
 // Port is libomp ported into the kernel: an OpenMP runtime whose
@@ -90,19 +87,23 @@ func NewPort(k *nautilus.Kernel, opts Options) (*Port, error) {
 	if err := build.Validate(); err != nil {
 		return nil, err
 	}
-	impl := opts.PthreadImpl
-	if impl == pthread.NPTL {
-		impl = pthread.Custom
-	}
-	oopts := omp.Options{
-		MaxThreads:  opts.MaxThreads,
-		Bind:        true,
-		PthreadImpl: impl,
-		Spine:       opts.Spine,
+	oopts := opts.OMP
+	oopts.Bind = true
+	if oopts.PthreadImpl == pthread.NPTL {
+		oopts.PthreadImpl = pthread.Custom
 	}
 	// The in-kernel libomp reads kernel environment variables (§3.4).
 	if err := oopts.Env(k.Getenv); err != nil {
 		return nil, err
+	}
+	// Places resolve against the kernel's machine topology — after the
+	// environment, so a kernel OMP_PLACES takes effect.
+	if oopts.Places == nil {
+		part, err := places.Parse(oopts.PlacesSpec, places.ForMachine(k.Machine))
+		if err != nil {
+			return nil, fmt.Errorf("rtk: %w", err)
+		}
+		oopts.Places = part
 	}
 	// Clamp OMP_NUM_THREADS to the machine via the kernel's sysconf.
 	if n, err := k.Sysconf(nautilus.ScNProcessorsOnln); err == nil {

@@ -67,7 +67,7 @@ func TestPortClampsThreadsToSysconf(t *testing.T) {
 
 func TestMainBecomesShellCommand(t *testing.T) {
 	k := bootKernel()
-	p, err := NewPort(k, Options{PthreadImpl: pthread.Custom})
+	p, err := NewPort(k, Options{OMP: omp.Options{PthreadImpl: pthread.Custom}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestOpenMPOnKernelFullCorrectness(t *testing.T) {
 	// reduction, critical, tasks.
 	k := bootKernel()
 	k.Setenv("OMP_NUM_THREADS", "8")
-	p, err := NewPort(k, Options{PthreadImpl: pthread.PTE})
+	p, err := NewPort(k, Options{OMP: omp.Options{PthreadImpl: pthread.PTE}})
 	if err != nil {
 		t.Fatal(err)
 	}

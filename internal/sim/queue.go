@@ -1,68 +1,31 @@
 package sim
 
-import (
-	"fmt"
-	"math/bits"
-	"os"
-	"strings"
-)
+import "math/bits"
 
-// EQAlgo selects the simulator's event-queue algorithm (the KOMP_SIM_EQ
-// ICV). The wheel is the default; the binary heap is retained as the
+// EQAlgo selects the simulator's event-queue algorithm (NewEQ). The
+// wheel is the default; the binary heap is retained as the
 // differential-testing baseline — both produce the exact same event
 // firing order (timestamp, then seq), so traces are byte-identical.
 type EQAlgo int
 
 // Event-queue algorithms.
 const (
-	// EQDefault resolves to the KOMP_SIM_EQ environment variable, or the
-	// wheel when unset.
-	EQDefault EQAlgo = iota
-	// EQWheel is the timer-wheel/spill hybrid: near-future events in
-	// fixed wheel buckets (one virtual nanosecond per bucket, so a bucket
-	// holds exactly one timestamp and FIFO order preserves seq order),
-	// far-future events in a sorted spill heap that refills the wheel as
-	// the clock advances.
-	EQWheel
+	// EQWheel (the zero value) is the timer-wheel/spill hybrid:
+	// near-future events in fixed wheel buckets (one virtual nanosecond
+	// per bucket, so a bucket holds exactly one timestamp and FIFO order
+	// preserves seq order), far-future events in a sorted spill heap that
+	// refills the wheel as the clock advances.
+	EQWheel EQAlgo = iota
 	// EQHeap is the classic binary min-heap over (at, seq) — O(log n)
 	// sift per event, kept as the differential-testing baseline.
 	EQHeap
 )
 
 func (a EQAlgo) String() string {
-	switch a {
-	case EQHeap:
+	if a == EQHeap {
 		return "heap"
-	default:
-		return "wheel"
 	}
-}
-
-// ParseEQAlgo parses a KOMP_SIM_EQ-style string.
-func ParseEQAlgo(s string) (EQAlgo, error) {
-	switch strings.TrimSpace(strings.ToLower(s)) {
-	case "", "wheel":
-		return EQWheel, nil
-	case "heap":
-		return EQHeap, nil
-	}
-	return 0, fmt.Errorf("sim: unknown event-queue algorithm %q (want wheel or heap)", s)
-}
-
-// EQFromEnv resolves the KOMP_SIM_EQ ICV from the host environment
-// (wheel when unset). An unparseable value panics: the variable is a
-// development knob, and silently falling back would invalidate a
-// differential run.
-func EQFromEnv() EQAlgo {
-	v, ok := os.LookupEnv("KOMP_SIM_EQ")
-	if !ok {
-		return EQWheel
-	}
-	a, err := ParseEQAlgo(v)
-	if err != nil {
-		panic(fmt.Sprintf("sim: KOMP_SIM_EQ=%q: %v", v, err))
-	}
-	return a
+	return "wheel"
 }
 
 // eventNode is one scheduled event. Nodes are intrusive (the next link

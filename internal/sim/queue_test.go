@@ -6,45 +6,16 @@ import (
 	"testing"
 )
 
-func TestParseEQAlgo(t *testing.T) {
-	cases := []struct {
-		in   string
-		want EQAlgo
-		err  bool
-	}{
-		{"", EQWheel, false},
-		{"wheel", EQWheel, false},
-		{"WHEEL", EQWheel, false},
-		{" heap ", EQHeap, false},
-		{"calendar", 0, true},
+// TestEQAlgoNames pins the names the simcore ablation prints, and that
+// the zero value — what New builds — is the wheel.
+func TestEQAlgoNames(t *testing.T) {
+	var zero EQAlgo
+	if zero != EQWheel || EQWheel.String() != "wheel" || EQHeap.String() != "heap" {
+		t.Errorf("zero=%v wheel=%s heap=%s", zero, EQWheel, EQHeap)
 	}
-	for _, c := range cases {
-		got, err := ParseEQAlgo(c.in)
-		if (err != nil) != c.err || (err == nil && got != c.want) {
-			t.Errorf("ParseEQAlgo(%q) = %v, %v; want %v, err=%v", c.in, got, err, c.want, c.err)
-		}
+	if got := New(1, 1).EQ(); got != EQWheel {
+		t.Errorf("New built the %v queue, want the wheel", got)
 	}
-	if EQWheel.String() != "wheel" || EQHeap.String() != "heap" || EQDefault.String() != "wheel" {
-		t.Errorf("String(): wheel=%s heap=%s default=%s", EQWheel, EQHeap, EQDefault)
-	}
-}
-
-func TestEQFromEnv(t *testing.T) {
-	t.Setenv("KOMP_SIM_EQ", "heap")
-	if got := EQFromEnv(); got != EQHeap {
-		t.Fatalf("KOMP_SIM_EQ=heap resolved to %v", got)
-	}
-	t.Setenv("KOMP_SIM_EQ", "wheel")
-	if got := EQFromEnv(); got != EQWheel {
-		t.Fatalf("KOMP_SIM_EQ=wheel resolved to %v", got)
-	}
-	t.Setenv("KOMP_SIM_EQ", "bogus")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("KOMP_SIM_EQ=bogus must panic")
-		}
-	}()
-	EQFromEnv()
 }
 
 // TestQueueDifferentialFuzz drives the wheel and the heap baseline with

@@ -12,7 +12,7 @@
 // CPU), Sleep (does not occupy a CPU), Park/Unpark, and wait queues.
 //
 // The event queue is a timer-wheel/spill hybrid by default (see
-// queue.go); the KOMP_SIM_EQ ICV or NewEQ selects the binary-heap
+// queue.go); NewEQ selects the binary-heap
 // baseline for differential testing. Both orders events identically by
 // (timestamp, seq), so every trace is byte-identical across algorithms.
 // Event nodes are recycled through a per-Sim free list, keeping the
@@ -196,19 +196,16 @@ type Sim struct {
 	wdScratch []ProcStall
 }
 
-// New creates a simulator with ncpu CPUs and the given RNG seed, using
-// the event-queue algorithm named by KOMP_SIM_EQ (wheel by default).
-func New(ncpu int, seed int64) *Sim { return NewEQ(ncpu, seed, EQDefault) }
+// New creates a simulator with ncpu CPUs and the given RNG seed on the
+// timer-wheel event queue.
+func New(ncpu int, seed int64) *Sim { return NewEQ(ncpu, seed, EQWheel) }
 
-// NewEQ creates a simulator with an explicit event-queue algorithm
-// (EQDefault defers to KOMP_SIM_EQ). Both algorithms fire events in the
-// exact same order; EQHeap exists as the differential-testing baseline.
+// NewEQ creates a simulator with an explicit event-queue algorithm. Both
+// algorithms fire events in the exact same order; EQHeap exists as the
+// differential-testing baseline.
 func NewEQ(ncpu int, seed int64, algo EQAlgo) *Sim {
 	if ncpu < 1 {
 		panic("sim: need at least one CPU")
-	}
-	if algo == EQDefault {
-		algo = EQFromEnv()
 	}
 	s := &Sim{
 		algo:       algo,
