@@ -153,9 +153,11 @@ func (t *simTC) Sleep(ns int64) { t.proc.Sleep(ns) }
 
 func (t *simTC) RandIntn(n int) int { return t.layer.Sim.RNG().Intn(n) }
 
+// simHandle is a spawned thread: the join word and the thread's own
+// context in one allocation.
 type simHandle struct {
-	layer *SimLayer
-	done  Word
+	tc   simTC
+	done Word
 }
 
 func (h *simHandle) Join(tc TC) {
@@ -172,9 +174,10 @@ func (t *simTC) Spawn(name string, cpu int, fn func(TC)) Handle {
 	if l.SpawnHook != nil {
 		l.SpawnHook(t, cpu)
 	}
-	h := &simHandle{layer: l}
+	h := &simHandle{tc: simTC{layer: l}}
 	l.Sim.Go(name, cpu, t.proc.Now(), func(p *sim.Proc) {
-		child := &simTC{layer: l, proc: p}
+		child := &h.tc
+		child.proc = p
 		sp := l.Spine
 		if sp.Enabled(ompt.ThreadBegin) || sp.Enabled(ompt.ThreadEnd) {
 			tid := l.tidSeq.Add(1) - 1
@@ -194,6 +197,12 @@ func (t *simTC) Spawn(name string, cpu int, fn func(TC)) Handle {
 	})
 	return h
 }
+
+// IsThreadKill reports whether a recovered panic value is the layer
+// unwinding a thread it has killed (sim.Kill: a crashed compartment, a
+// failed CPU). Runtime code that contains panics from user code must
+// re-raise such a value untouched; the real layer never produces one.
+func IsThreadKill(r any) bool { return sim.IsKill(r) }
 
 // futexWord adapts a Word to the simulator futex table, which keys on
 // *uint32. Word's single field makes the conversion stable.

@@ -5,6 +5,9 @@ import (
 	"testing"
 
 	"github.com/interweaving/komp/internal/exec"
+	"github.com/interweaving/komp/internal/omp"
+	"github.com/interweaving/komp/internal/ompt"
+	"github.com/interweaving/komp/internal/sim"
 )
 
 func TestShutdownIsIdempotent(t *testing.T) {
@@ -174,5 +177,57 @@ func TestRunSupervisedRestartBudget(t *testing.T) {
 	}
 	if p.Reboots != 2 {
 		t.Fatalf("reboots = %d, want exactly the budget (2)", p.Reboots)
+	}
+}
+
+// TestCrashInsideTaskgroupMember crashes the compartment while one of
+// its threads is inside a taskgroup member body with cancellation on.
+// The runtime contains panics of member tasks (it cancels the group and
+// re-raises at the end of the construct), but the unwinding of a killed
+// thread is not a panic of user code: the thread must die where it
+// stands, with no group cancelled on its behalf and no runtime code
+// executed by a dead thread.
+func TestCrashInsideTaskgroupMember(t *testing.T) {
+	p, err := Boot(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancels := 0
+	spine := ompt.NewSpine().On(func(ompt.Event) { cancels++ }, ompt.Cancel)
+	rt := omp.New(p.Kernel.Layer, omp.Options{Cancellation: true, Spine: spine})
+	inBody, survived, deferred := false, false, false
+	var job *sim.Proc
+	_, err = p.HostLayer.Run(func(tc exec.TC) {
+		p.SpawnInCompartment("job", 60, func(ktc exec.TC) {
+			job = ktc.(exec.ProcHolder).Proc()
+			rt.Parallel(ktc, 1, func(w *omp.Worker) {
+				w.Taskgroup(func(w *omp.Worker) {
+					w.TaskIf(false, func(w *omp.Worker) {
+						defer func() { deferred = true }()
+						inBody = true
+						w.TC().Charge(50_000_000) // dies mid-flight
+						survived = true
+					})
+				})
+				survived = true
+			})
+		})
+		p.Sim.At(p.Sim.Now()+1_000_000, func() { p.Crash() })
+		tc.Charge(5_000_000)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !inBody || survived {
+		t.Fatalf("inBody=%v survived=%v: the thread must die inside the member body", inBody, survived)
+	}
+	if !deferred {
+		t.Fatal("deferred call in the member body did not run while the thread unwound")
+	}
+	if job.State() != sim.StateDone {
+		t.Fatalf("compartment thread is %v, want done", job.State())
+	}
+	if cancels != 0 {
+		t.Fatalf("%d cancel event(s): the kill was recorded as a member-task panic", cancels)
 	}
 }

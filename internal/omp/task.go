@@ -226,11 +226,13 @@ func (w *Worker) runTaskBody(t *task) {
 // process. The recover runs after the current-task restore but before
 // the caller's finishTask, so completion accounting stays exactly-once
 // and the end-of-group wait converges. CPU-offline unwinds
-// (offlineSignal) are re-raised — they must reach the worker loop.
+// (offlineSignal) are re-raised — they must reach the worker loop — and
+// so is the execution layer killing the thread, which must reach the
+// thread's root.
 func (w *Worker) runTaskBodyCaught(t *task) {
 	defer func() {
 		if r := recover(); r != nil {
-			if _, ok := r.(offlineSignal); ok {
+			if _, ok := r.(offlineSignal); ok || exec.IsThreadKill(r) {
 				panic(r)
 			}
 			t.group.recordPanic(r)

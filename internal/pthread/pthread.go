@@ -18,7 +18,7 @@
 package pthread
 
 import (
-	"fmt"
+	"strconv"
 	"sync/atomic"
 
 	"github.com/interweaving/komp/internal/exec"
@@ -107,7 +107,7 @@ func (l *Lib) Create(tc exec.TC, attr Attr, fn func(exec.TC)) *Thread {
 		cpu = int(l.threadSeq.Load()) % l.Layer.NumCPUs()
 	}
 	id := l.threadSeq.Add(1)
-	h := tc.Spawn(fmt.Sprintf("pthread-%d", id), cpu, fn)
+	h := tc.Spawn("pthread-"+strconv.FormatInt(id, 10), cpu, fn)
 	return &Thread{ID: id, handle: h}
 }
 

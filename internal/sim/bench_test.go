@@ -102,3 +102,35 @@ func BenchmarkAlarmCancel(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkProcHandoff measures one proc event end to end — pop, switch
+// into the proc, Compute, schedule, switch back — with n procs in lock
+// step, so that for n > 1 every event resumes a different proc than the
+// one that just blocked. One op is one event.
+func BenchmarkProcHandoff(b *testing.B) {
+	for _, n := range []int{1, 2, 64} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			s := lockstep(n, b.N/n+1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			if err := s.Run(); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
+// BenchmarkSpawnRun measures what a figure cell pays around its events:
+// build a Sim, spawn n procs that each compute once, run to completion.
+func BenchmarkSpawnRun(b *testing.B) {
+	for _, n := range []int{64, 192} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			spawnRun(n) // warm the coroutine free list
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				spawnRun(n)
+			}
+		})
+	}
+}

@@ -24,6 +24,10 @@ type FutexTable struct {
 	// drained queue here instead of dropping it (keeping the map entry
 	// itself would pin dead words forever; the free list pins nothing).
 	free []*WaitQueue
+	// slab holds the queues of the current allocation not yet handed out
+	// (a team's workers first sleep on one gate word each, so queues are
+	// made futexSlab at a time).
+	slab []WaitQueue
 
 	// LoseWake, if set, is asked before each individual wake delivery;
 	// returning true drops that wake. It must be deterministic (driven by
@@ -40,6 +44,9 @@ type FutexTable struct {
 	Rechecks  int64 // timed rechecks that fired
 	Recovered int64 // waiters recovered by a recheck (value had moved)
 }
+
+// futexSlab is how many wait queues one allocation provides.
+const futexSlab = 32
 
 // DefaultRecheckBudget bounds timed rechecks per Wait so that a genuinely
 // dead proc stops re-arming and the deadlock detector can fire.
@@ -77,7 +84,11 @@ func (t *FutexTable) Wait(p *Proc, addr *uint32, val uint32, entryCost Time) boo
 		if n := len(t.free); n > 0 {
 			q, t.free[n-1], t.free = t.free[n-1], nil, t.free[:n-1]
 		} else {
-			q = NewWaitQueue(t.sim).SetLabel("futex")
+			if len(t.slab) == 0 {
+				t.slab = make([]WaitQueue, futexSlab)
+			}
+			q, t.slab = &t.slab[0], t.slab[1:]
+			q.init(t.sim, "waitqueue futex")
 		}
 		t.queues[addr] = q
 	}
@@ -85,8 +96,8 @@ func (t *FutexTable) Wait(p *Proc, addr *uint32, val uint32, entryCost Time) boo
 		st := &recheckState{}
 		t.armRecheck(p, q, addr, val, 1, st)
 		// Disarm the pending recheck once the waiter resumes (or dies via
-		// Kill — the defer runs under runtime.Goexit too), so fault-free
-		// runs carry no leftover timer events.
+		// Kill, which unwinds through this defer), so fault-free runs
+		// carry no leftover timer events.
 		defer func() {
 			if st.cancel != nil {
 				st.cancel()

@@ -7,6 +7,11 @@
 // exactly one proc at a time, so all state touched from proc code is
 // race-free and every run with the same seed is bit-identical.
 //
+// Each proc is a coroutine (coro.go): the event loop, on the goroutine
+// that called Run, switches straight into the proc whose event fired, and
+// a proc that blocks switches straight back. The Go scheduler is not
+// involved and no second OS thread is needed.
+//
 // Time is virtual and measured in nanoseconds (the Time alias). A proc
 // advances time only through explicit operations: Compute (occupies its
 // CPU), Sleep (does not occupy a CPU), Park/Unpark, and wait queues.
@@ -15,15 +20,14 @@
 // queue.go); NewEQ selects the binary-heap
 // baseline for differential testing. Both orders events identically by
 // (timestamp, seq), so every trace is byte-identical across algorithms.
-// Event nodes are recycled through a per-Sim free list, keeping the
-// schedule/fire hot path allocation-free.
+// Event nodes are allocated 64 at a time and recycled through a per-Sim
+// free list, keeping the schedule/fire hot path allocation-free.
 package sim
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sort"
 	"strings"
 )
@@ -70,8 +74,7 @@ type ProcState int
 
 // Proc states.
 const (
-	StateNew ProcState = iota
-	StateRunnable
+	StateRunnable ProcState = iota
 	StateRunning
 	StateBlocked
 	StateDone
@@ -79,8 +82,6 @@ const (
 
 func (s ProcState) String() string {
 	switch s {
-	case StateNew:
-		return "new"
 	case StateRunnable:
 		return "runnable"
 	case StateRunning:
@@ -94,8 +95,9 @@ func (s ProcState) String() string {
 	}
 }
 
-// Proc is a simulated thread of execution, backed by a goroutine that runs
-// cooperatively under the simulator's control.
+// Proc is a simulated thread of execution: a coroutine the event loop
+// switches into when the proc's event fires and that switches back when
+// the proc blocks or ends.
 type Proc struct {
 	ID   int
 	Name string
@@ -105,7 +107,8 @@ type Proc struct {
 	state ProcState
 	now   Time // proc-local clock: the virtual time it has reached
 
-	resume chan struct{}
+	co  *coro // the coroutine running this proc's body (nil once done)
+	idx int   // position in sim.procs, for O(1) removal
 
 	// Diagnostics: what the proc is blocked on and since when (valid
 	// while state == StateBlocked).
@@ -167,14 +170,12 @@ type Sim struct {
 	seq    uint64
 	fired  int64 // events popped and acted on (cancelled pops excluded)
 	rng    *rand.Rand
-	cpus   []*CPU
+	cpus   []CPU
 	nextID int
 
-	yield   chan struct{} // proc -> scheduler: "I have blocked or exited"
 	running *Proc
-	live    int // procs not yet done
-	blocked map[int]*Proc
-	procs   map[int]*Proc // all live procs, for diagnostics and Kill
+	live    int     // procs not yet done
+	procs   []*Proc // all live procs (p.idx is its position), for diagnostics and Kill
 
 	// watchdogNS is the per-proc progress deadline (0: disabled): a proc
 	// blocked with no pending event for longer than this aborts Run with
@@ -210,9 +211,7 @@ func NewEQ(ncpu int, seed int64, algo EQAlgo) *Sim {
 	s := &Sim{
 		algo:       algo,
 		rng:        rand.New(rand.NewSource(seed)),
-		yield:      make(chan struct{}),
-		blocked:    make(map[int]*Proc),
-		procs:      make(map[int]*Proc),
+		cpus:       make([]CPU, ncpu),
 		wdEarliest: math.MaxInt64,
 	}
 	if algo == EQHeap {
@@ -220,8 +219,8 @@ func NewEQ(ncpu int, seed int64, algo EQAlgo) *Sim {
 	} else {
 		s.eq = newWheelQueue()
 	}
-	for i := 0; i < ncpu; i++ {
-		s.cpus = append(s.cpus, &CPU{ID: i, Noise: NoNoise{}})
+	for i := range s.cpus {
+		s.cpus[i] = CPU{ID: i, Noise: NoNoise{}}
 	}
 	return s
 }
@@ -244,16 +243,22 @@ func (s *Sim) EventsSpilled() int64 {
 	return 0
 }
 
-// newNode takes an event node from the free list (or allocates one),
-// stamping it with the next seq.
+// nodeSlab is how many event nodes one allocation provides.
+const nodeSlab = 64
+
+// newNode takes an event node from the free list (refilled a slab at a
+// time), stamping it with the next seq.
 func (s *Sim) newNode(at Time, p *Proc, fn func()) *eventNode {
-	n := s.free
-	if n != nil {
-		s.free = n.next
-		n.next = nil
-	} else {
-		n = &eventNode{}
+	if s.free == nil {
+		slab := make([]eventNode, nodeSlab)
+		for i := range slab[:nodeSlab-1] {
+			slab[i].next = &slab[i+1]
+		}
+		s.free = &slab[0]
 	}
+	n := s.free
+	s.free = n.next
+	n.next = nil
 	s.seq++
 	n.at, n.seq, n.proc, n.fn, n.cancelled = at, s.seq, p, fn, false
 	return n
@@ -280,12 +285,12 @@ func (s *Sim) RNG() *rand.Rand { return s.rng }
 func (s *Sim) NumCPU() int { return len(s.cpus) }
 
 // CPU returns the CPU with the given id.
-func (s *Sim) CPU(id int) *CPU { return s.cpus[id] }
+func (s *Sim) CPU(id int) *CPU { return &s.cpus[id] }
 
 // SetNoise installs a noise model on every CPU.
 func (s *Sim) SetNoise(n NoiseModel) {
-	for _, c := range s.cpus {
-		c.Noise = n
+	for i := range s.cpus {
+		s.cpus[i].Noise = n
 	}
 }
 
@@ -358,48 +363,40 @@ func (s *Sim) countBlockedNoEvent(p *Proc) {
 // Go creates a proc bound to the given CPU (-1 for unbound) that starts at
 // virtual time max(now, start) and runs fn. It may be called from the
 // scheduler (before Run) or from proc code.
+//
+// fn runs on a coroutine of the goroutine that drives the simulator, so
+// a panic in fn — and a runtime.Goexit, which is what t.Fatal and
+// t.FailNow do — unwinds fn's own defers and then surfaces from Run (or
+// RunUntil) on the caller's goroutine, with the proc already accounted
+// as done.
 func (s *Sim) Go(name string, cpu int, start Time, fn func(p *Proc)) *Proc {
 	if cpu >= len(s.cpus) {
 		panic(fmt.Sprintf("sim: Go on CPU %d beyond %d CPUs", cpu, len(s.cpus)))
 	}
 	s.nextID++
-	p := &Proc{ID: s.nextID, Name: name, sim: s, cpu: cpu, state: StateNew, resume: make(chan struct{})}
+	p := &Proc{ID: s.nextID, Name: name, sim: s, cpu: cpu, state: StateRunnable, idx: len(s.procs)}
+	p.co = getCoro(p, fn)
 	s.live++
-	s.procs[p.ID] = p
+	s.procs = append(s.procs, p)
 	if start < s.now {
 		start = s.now
 	}
-	go func() {
-		// The deferred handshake also fires if fn unwinds via
-		// runtime.Goexit (e.g. t.Fatal on a proc goroutine, or a proc
-		// condemned by Kill), so the scheduler never deadlocks waiting
-		// for a vanished proc.
-		done := false
-		defer func() {
-			if r := recover(); r != nil {
-				panic(r)
-			}
-			if !done {
-				p.state = StateDone
-				s.live--
-				s.yield <- struct{}{}
-			}
-		}()
-		<-p.resume // wait for first dispatch
-		if !p.killed {
-			fn(p)
-		}
-		p.state = StateDone
-		s.live--
-		done = true
-		s.yield <- struct{}{}
-	}()
-	p.state = StateRunnable
 	s.schedule(start, p, nil)
 	return p
 }
 
-// dispatch resumes proc p and waits until it blocks or exits.
+// finish accounts a proc whose body has ended, however it ended. It runs
+// on the proc's coroutine before control returns to dispatch.
+func (s *Sim) finish(p *Proc) {
+	p.state = StateDone
+	s.live--
+	last := s.procs[len(s.procs)-1]
+	s.procs[p.idx], last.idx = last, p.idx
+	s.procs[len(s.procs)-1] = nil
+	s.procs = s.procs[:len(s.procs)-1]
+}
+
+// dispatch switches into proc p and returns when it blocks or ends.
 func (s *Sim) dispatch(p *Proc) {
 	if p.state == StateDone {
 		return
@@ -411,18 +408,21 @@ func (s *Sim) dispatch(p *Proc) {
 	}
 	prev := s.running
 	s.running = p
-	p.resume <- struct{}{}
-	<-s.yield
+	p.co.next() // a panic or Goexit in proc code leaves from here
 	s.running = prev
 	if p.state == StateDone {
-		delete(s.procs, p.ID)
-		delete(s.blocked, p.ID)
+		putCoro(p.co)
+		p.co = nil
 	}
 }
 
 // Run processes events until none remain. It returns an error if live
 // procs remain blocked with an empty event queue (deadlock), or — when a
 // watchdog is set — if a proc misses its progress deadline (stall).
+//
+// A panic or runtime.Goexit in proc code leaves Run on the caller's
+// goroutine (see Go); the simulator stays consistent, and a recovered
+// caller may call Run again to drive the remaining procs.
 func (s *Sim) Run() error {
 	for {
 		n := s.eq.pop()
@@ -448,7 +448,6 @@ func (s *Sim) Run() error {
 			continue
 		}
 		if p != nil {
-			delete(s.blocked, p.ID)
 			p.hasEvent = false
 			s.dispatch(p)
 		}
@@ -481,7 +480,6 @@ func (s *Sim) RunUntil(t Time) {
 			continue
 		}
 		if p != nil {
-			delete(s.blocked, p.ID)
 			p.hasEvent = false
 			s.dispatch(p)
 		}
@@ -519,7 +517,7 @@ func (s *Sim) watchdogCheck() error {
 	}
 	s.wdScratch = s.wdScratch[:0]
 	earliest := Time(math.MaxInt64)
-	for _, p := range s.blocked {
+	for _, p := range s.procs {
 		if p.hasEvent || p.state != StateBlocked {
 			continue
 		}
@@ -590,8 +588,10 @@ func (e *StallError) Error() string {
 
 func (s *Sim) deadlockError() error {
 	var stalled []ProcStall
-	for _, p := range s.blocked {
-		stalled = append(stalled, p.stall(s.now))
+	for _, p := range s.procs {
+		if p.state == StateBlocked {
+			stalled = append(stalled, p.stall(s.now))
+		}
 	}
 	sortStalls(stalled)
 	return &StallError{Kind: "deadlock", Now: s.now, Stalled: stalled}
@@ -601,10 +601,7 @@ func (s *Sim) deadlockError() error {
 // for diagnostics and fault injection (e.g. crashing a kernel
 // compartment kills every proc on its CPUs).
 func (s *Sim) Procs() []*Proc {
-	out := make([]*Proc, 0, len(s.procs))
-	for _, p := range s.procs {
-		out = append(out, p)
-	}
+	out := append([]*Proc(nil), s.procs...)
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
@@ -627,7 +624,7 @@ func (s *Sim) Kill(p *Proc) {
 	}
 }
 
-// --- Proc operations (must be called from the proc's own goroutine) ---
+// --- Proc operations (must be called from the proc's own code) ---
 
 func (p *Proc) mustBeRunning() {
 	if p.sim.running != p {
@@ -635,22 +632,21 @@ func (p *Proc) mustBeRunning() {
 	}
 }
 
-// block parks the proc until the scheduler dispatches it again,
-// recording what it is waiting on for stall/deadlock diagnostics. A proc
-// condemned by Kill exits here instead of resuming; the deferred
-// handshake in Go completes the bookkeeping.
+// block switches back to the event loop until it dispatches the proc
+// again, recording what the proc is waiting on for stall/deadlock
+// diagnostics. A proc condemned by Kill unwinds from here instead of
+// resuming: deferred calls in proc code run, and the coroutine root
+// (coro.run) recovers the signal and completes the bookkeeping.
 func (p *Proc) block(reason string) {
 	p.state = StateBlocked
 	p.waitReason = reason
 	p.blockedSince = p.now
-	p.sim.blocked[p.ID] = p
 	if !p.hasEvent {
 		p.sim.countBlockedNoEvent(p)
 	}
-	p.sim.yield <- struct{}{}
-	<-p.resume
+	p.co.yield(struct{}{})
 	if p.killed {
-		runtime.Goexit()
+		panic(killSignal{})
 	}
 }
 
@@ -667,7 +663,7 @@ func (p *Proc) Compute(d Time) {
 		p.sleepUntil(p.now + d)
 		return
 	}
-	c := s.cpus[p.cpu]
+	c := &s.cpus[p.cpu]
 	start := p.now
 	if c.FreeAt > start {
 		start = c.FreeAt
@@ -758,8 +754,8 @@ func (s *Sim) Utilization() Utilization {
 		return u
 	}
 	var sum float64
-	for i, c := range s.cpus {
-		u.BusyFrac[i] = float64(c.BusyNS) / float64(s.now)
+	for i := range s.cpus {
+		u.BusyFrac[i] = float64(s.cpus[i].BusyNS) / float64(s.now)
 		sum += u.BusyFrac[i]
 	}
 	u.Mean = sum / float64(len(s.cpus))
@@ -771,18 +767,28 @@ func (s *Sim) Utilization() Utilization {
 // WaitQueue is a FIFO queue of blocked procs.
 type WaitQueue struct {
 	sim    *Sim
-	label  string
 	reason string // "waitqueue <label>", precomputed so Wait never allocates
 	procs  []*Proc
+	// buf is the initial backing of procs: most queues (a futex word, a
+	// join handle) never hold more than a few waiters at once, so the
+	// queue and its waiter list are one allocation.
+	buf [4]*Proc
 }
 
 // NewWaitQueue creates a wait queue on s.
-func NewWaitQueue(s *Sim) *WaitQueue { return &WaitQueue{sim: s} }
+func NewWaitQueue(s *Sim) *WaitQueue {
+	q := &WaitQueue{}
+	q.init(s, "")
+	return q
+}
+
+func (q *WaitQueue) init(s *Sim, reason string) {
+	q.sim, q.reason, q.procs = s, reason, q.buf[:0]
+}
 
 // SetLabel names the queue for stall/deadlock diagnostics: procs blocked
 // on it report "waitqueue <label>" as their wait reason.
 func (q *WaitQueue) SetLabel(label string) *WaitQueue {
-	q.label = label
 	q.reason = "waitqueue " + label
 	return q
 }
