@@ -4,7 +4,7 @@
 # mutex-guarded free list shared by every Sim of the process.
 RACE_PKGS = ./internal/omp/ ./internal/exec/ ./internal/mpi/ ./internal/tenancy/ ./internal/device/ ./internal/sim/
 
-.PHONY: verify build test vet staticcheck race figures bench-smoke trace-smoke
+.PHONY: verify build test vet staticcheck race race-stress figures bench-smoke trace-smoke
 
 verify: build vet staticcheck test race
 
@@ -31,6 +31,13 @@ test:
 
 race:
 	go test -race $(RACE_PKGS)
+
+# race-stress repeats the race pass at 1, 2 and 4 Ps: the races this
+# runtime has had (a straggler leaving one region's join against the
+# master forking the next) depend on the scheduler's width and do not
+# show on every run. CI runs it after `verify`.
+race-stress:
+	go test -race -count=3 -cpu 1,2,4 $(RACE_PKGS)
 
 figures:
 	go run ./cmd/kompbench -quick

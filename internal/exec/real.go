@@ -26,8 +26,8 @@ type RealLayer struct {
 
 	start time.Time
 
-	futexMu sync.Mutex
-	futexQ  map[*Word][]chan struct{}
+	// futex is the parking lot behind FutexWait/FutexWake (futex.go).
+	futex [futexShards]futexShard
 
 	wg sync.WaitGroup
 
@@ -40,11 +40,11 @@ type RealLayer struct {
 	startMu sync.Mutex
 
 	// Stall watchdog (SetWatchdog): progress counts layer-level events
-	// (spawns and futex wakes); the monitor goroutine fires when the
-	// counter stops moving for a full period. idleParked counts threads
-	// deliberately parked for an unbounded time (IdlePark) — an
-	// admission queue's waiters are idle, not stuck — and suppresses the
-	// dump while nonzero.
+	// (spawns and futex wakes; only while a watchdog is armed, see
+	// noteProgress); the monitor goroutine fires when the counter stops
+	// moving for a full period. idleParked counts threads deliberately
+	// parked for an unbounded time (IdlePark) — an admission queue's
+	// waiters are idle, not stuck — and suppresses the dump while nonzero.
 	watchdogD  time.Duration
 	watchdogFn func(stacks string)
 	progress   atomic.Uint64
@@ -91,9 +91,8 @@ func NewRealLayer(ncpu int) *RealLayer {
 		ncpu = 1
 	}
 	return &RealLayer{
-		ncpu:   ncpu,
-		futexQ: make(map[*Word][]chan struct{}),
-		rng:    rand.New(rand.NewSource(time.Now().UnixNano())),
+		ncpu: ncpu,
+		rng:  rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
 }
 
@@ -120,6 +119,16 @@ func (l *RealLayer) Costs() *Costs { return &l.costs }
 func (l *RealLayer) SetWatchdog(d time.Duration, report func(stacks string)) {
 	l.watchdogD = d
 	l.watchdogFn = report
+}
+
+// noteProgress records one layer-level event for the stall watchdog.
+// Without an armed watchdog (watchdogD is set before Run, so the plain
+// read is ordered by thread creation) nobody reads the counter, and the
+// wake and spawn paths must not bounce its cache line between cores.
+func (l *RealLayer) noteProgress() {
+	if l.watchdogD > 0 {
+		l.progress.Add(1)
+	}
 }
 
 // startWatchdog launches the monitor goroutine; the returned stop
@@ -239,7 +248,7 @@ func (t *realTC) Alarm(ns int64, fn func(TC)) (stop func()) {
 func (t *realTC) Spawn(name string, cpu int, fn func(TC)) Handle {
 	h := &realHandle{done: make(chan struct{})}
 	l := t.layer
-	l.progress.Add(1)
+	l.noteProgress()
 	l.wg.Add(1)
 	go func() {
 		defer l.wg.Done()
@@ -260,38 +269,4 @@ func (t *realTC) Spawn(name string, cpu int, fn func(TC)) Handle {
 		fn(child)
 	}()
 	return h
-}
-
-func (t *realTC) FutexWait(w *Word, val uint32) bool {
-	l := t.layer
-	l.futexMu.Lock()
-	if w.Load() != val {
-		l.futexMu.Unlock()
-		return false
-	}
-	ch := make(chan struct{})
-	l.futexQ[w] = append(l.futexQ[w], ch)
-	l.futexMu.Unlock()
-	<-ch
-	return true
-}
-
-func (t *realTC) FutexWake(w *Word, n int) int {
-	l := t.layer
-	l.progress.Add(1)
-	l.futexMu.Lock()
-	q := l.futexQ[w]
-	if n < 0 || n > len(q) {
-		n = len(q)
-	}
-	for i := 0; i < n; i++ {
-		close(q[i])
-	}
-	if n == len(q) {
-		delete(l.futexQ, w)
-	} else {
-		l.futexQ[w] = append([]chan struct{}(nil), q[n:]...)
-	}
-	l.futexMu.Unlock()
-	return n
 }

@@ -53,8 +53,9 @@ type taskDeque interface {
 	// capacity, cold cache-line history — between regions of a reused
 	// hot team, so deque traffic prices exactly like on a fresh team
 	// (ring growth is re-charged per region, the top line starts
-	// unowned). Called only at fork, never concurrently with the
-	// region's own operations.
+	// unowned). It clears what was pushed since the last reset, so a
+	// region that created no tasks pays nothing per slot. Called only at
+	// fork, never concurrently with the region's own operations.
 	reset()
 }
 
@@ -99,6 +100,15 @@ type clDeque struct {
 	// top — thief steals and the owner's last-element race — serializes
 	// here in the simulated timeline.
 	topLine exec.Line
+
+	// [cleanAt, dirtyTo) are the indices pushed to since the last reset:
+	// cleanAt is where reset found the drained deque (top == bottom),
+	// dirtyTo the owner's push high-water mark. Plain fields — push runs
+	// on the owner inside a region, reset on the master between regions,
+	// ordered by the join. bottom cannot stand in for dirtyTo: a push
+	// followed by the owner's own pop returns it to its old value with
+	// the pointer still in the slot.
+	cleanAt, dirtyTo int64
 }
 
 // clInitialCap is the initial ring capacity (must be a power of two).
@@ -130,6 +140,9 @@ func (d *clDeque) push(tc exec.TC, t *task) {
 		r = d.grow(tc, r, b, top)
 	}
 	r.put(b, t)
+	if b >= d.dirtyTo {
+		d.dirtyTo = b + 1
+	}
 	d.bottom.Store(b + 1)
 	tc.Charge(tc.Costs().AtomicRMWNS)
 }
@@ -156,6 +169,8 @@ func (d *clDeque) grow(tc exec.TC, old *clRing, b, top int64) *clRing {
 // task. Shrinking the ring back to the initial capacity and cooling the
 // top line is what restores fresh-team pricing: growth is re-charged
 // per region and the first contention starts from an unowned line.
+// Nothing here is charged through a tc: virtual time cannot tell how
+// many slots were cleared.
 func (d *clDeque) reset() {
 	r := d.ring.Load()
 	if r.capacity() != clInitialCap {
@@ -165,11 +180,22 @@ func (d *clDeque) reset() {
 		d.ring.Store(newCLRing(clInitialCap))
 	} else {
 		// Drop stale task pointers so a drained region's tasks are
-		// collectable (a fresh ring starts nil-slotted too).
-		for i := range r.slot {
-			r.slot[i].Store(nil)
+		// collectable (a fresh ring starts nil-slotted too) — only the
+		// slots pushed to since the last reset can hold one; the whole
+		// ring once if the window wrapped it.
+		lo, hi := d.cleanAt, d.dirtyTo
+		if hi-lo > clInitialCap {
+			hi = lo + clInitialCap
+		}
+		for i := lo; i < hi; i++ {
+			r.put(i, nil)
 		}
 	}
+	// The drained deque's position is read from top: an owner straggling
+	// out of the previous join may be inside an empty pop, which holds
+	// bottom one below top for an instant.
+	d.cleanAt = d.top.Load()
+	d.dirtyTo = d.cleanAt
 	d.topLine = exec.Line{}
 }
 

@@ -227,6 +227,7 @@ func TestShrinkNestedInner(t *testing.T) {
 	forBothLayers(t, Options{MaxThreads: 8, Bind: true, MaxActiveLevels: 2, Resilient: true},
 		func(rt *Runtime, tc exec.TC) {
 			var innerAlive, outerAlive atomic.Int64
+			var offlined atomic.Bool
 			rt.Parallel(tc, 2, func(ow *Worker) {
 				if ow.ThreadNum() == 0 {
 					// Outer leases pool worker 1; the inner fork leases
@@ -235,6 +236,13 @@ func TestShrinkNestedInner(t *testing.T) {
 					ow.Parallel(4, func(iw *Worker) {
 						if iw.ThreadNum() == 0 {
 							rt.OfflineCPU(3)
+							offlined.Store(true)
+						}
+						// On the real clock the worker on CPU 3 can reach
+						// the barrier's safe-point check before the master
+						// has doomed it; hold everyone until it has.
+						for !offlined.Load() {
+							iw.TC().Yield()
 						}
 						iw.Barrier() // safe point: the doomed worker leaves here
 						if iw.ThreadNum() == 0 {

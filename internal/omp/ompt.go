@@ -28,7 +28,7 @@ func (w *Worker) emitPlain(k ompt.Kind, a0, a1 int64) {
 		return
 	}
 	sp.Emit(ompt.Event{Kind: k, Thread: int32(w.id), Gid: w.gid, CPU: int32(w.tc.CPU()),
-		TimeNS: w.tc.Now(), Region: w.team.region, Level: int32(w.team.level), Tenant: w.team.rt.opts.Tenant, Arg0: a0, Arg1: a1})
+		TimeNS: w.tc.Now(), Region: w.region, Level: int32(w.team.level), Tenant: w.team.rt.opts.Tenant, Arg0: a0, Arg1: a1})
 }
 
 // emitSync emits a synchronization event against object obj.
@@ -38,7 +38,7 @@ func (w *Worker) emitSync(k ompt.Kind, s ompt.Sync, obj uint64) {
 		return
 	}
 	sp.Emit(ompt.Event{Kind: k, Sync: s, Thread: int32(w.id), Gid: w.gid, CPU: int32(w.tc.CPU()),
-		TimeNS: w.tc.Now(), Region: w.team.region, Level: int32(w.team.level), Tenant: w.team.rt.opts.Tenant, Obj: obj})
+		TimeNS: w.tc.Now(), Region: w.region, Level: int32(w.team.level), Tenant: w.team.rt.opts.Tenant, Obj: obj})
 }
 
 // emitWork emits a worksharing event: wk is the construct kind, obj the
@@ -49,7 +49,7 @@ func (w *Worker) emitWork(k ompt.Kind, wk ompt.Work, obj uint64, a0, a1 int64) {
 		return
 	}
 	sp.Emit(ompt.Event{Kind: k, Work: wk, Thread: int32(w.id), Gid: w.gid, CPU: int32(w.tc.CPU()),
-		TimeNS: w.tc.Now(), Region: w.team.region, Level: int32(w.team.level), Tenant: w.team.rt.opts.Tenant, Obj: obj, Arg0: a0, Arg1: a1})
+		TimeNS: w.tc.Now(), Region: w.region, Level: int32(w.team.level), Tenant: w.team.rt.opts.Tenant, Obj: obj, Arg0: a0, Arg1: a1})
 }
 
 // emitBind publishes a worker's placement for the region: Obj is the
@@ -72,7 +72,7 @@ func (w *Worker) emitBind(cpu int) {
 		}
 	}
 	sp.Emit(ompt.Event{Kind: ompt.ThreadBind, Thread: int32(w.id), Gid: w.gid, CPU: int32(cpu),
-		TimeNS: w.tc.Now(), Region: w.team.region, Level: int32(w.team.level), Tenant: w.team.rt.opts.Tenant, Obj: uint64(cpu), Arg0: place, Arg1: occ})
+		TimeNS: w.tc.Now(), Region: w.region, Level: int32(w.team.level), Tenant: w.team.rt.opts.Tenant, Obj: uint64(cpu), Arg0: place, Arg1: occ})
 }
 
 // emitCancel emits a cancellation event: Arg0 is the CancelKind, obj
@@ -84,7 +84,7 @@ func (w *Worker) emitCancel(kind CancelKind, obj uint64, a1 int64) {
 		return
 	}
 	sp.Emit(ompt.Event{Kind: ompt.Cancel, Thread: int32(w.id), Gid: w.gid, CPU: int32(w.tc.CPU()),
-		TimeNS: w.tc.Now(), Region: w.team.region, Level: int32(w.team.level), Tenant: w.team.rt.opts.Tenant, Obj: obj,
+		TimeNS: w.tc.Now(), Region: w.region, Level: int32(w.team.level), Tenant: w.team.rt.opts.Tenant, Obj: obj,
 		Arg0: int64(kind), Arg1: a1})
 }
 
@@ -96,5 +96,5 @@ func (w *Worker) emitTask(k ompt.Kind, obj uint64, a0 int64) {
 		return
 	}
 	sp.Emit(ompt.Event{Kind: k, Thread: int32(w.id), Gid: w.gid, CPU: int32(w.tc.CPU()),
-		TimeNS: w.tc.Now(), Region: w.team.region, Level: int32(w.team.level), Tenant: w.team.rt.opts.Tenant, Obj: obj, Arg0: a0})
+		TimeNS: w.tc.Now(), Region: w.region, Level: int32(w.team.level), Tenant: w.team.rt.opts.Tenant, Obj: obj, Arg0: a0})
 }

@@ -209,6 +209,7 @@ func (p *pool) workerLoop(tc exec.TC, pw *poolWorker) {
 		w.tc = tc
 		w.pw = pw
 		w.gid = int32(pw.id)
+		w.enterRegion(team.region)
 		// Region placement: re-pin to this region's assigned CPU (the
 		// binding policy may place a small team differently than the
 		// pool), or migrate deterministically under proc_bind(false).

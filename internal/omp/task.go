@@ -14,7 +14,7 @@ type task struct {
 	children exec.Word
 	waiting  exec.Word // parent is blocked in taskwait
 	team     *Team
-	id       uint64 // spine task id (0 for implicit tasks)
+	id       uint64 // spine task id (0 for implicit tasks, and without a spine)
 
 	// group is the taskgroup the task belongs to (nil outside any);
 	// inherited from the encountering thread's current group.
@@ -31,7 +31,10 @@ type task struct {
 	// Dependence state. deps is the address → last-accessor map this
 	// task's *children* resolve their depend clauses against; npred is
 	// this task's own count of unfinished predecessors; succs/depDone
-	// (under depMu) are the successors waiting on this task.
+	// (under depMu) are the successors waiting on this task. hasDeps
+	// marks a task created with a depend clause: only such a task is
+	// ever registered in a depTracker, so only it can gain a successor.
+	hasDeps bool
 	deps    *depTracker
 	npred   exec.Word
 	depMu   sync.Mutex
@@ -103,14 +106,19 @@ func (w *Worker) TaskWith(opt TaskOpt, fn func(*Worker)) {
 		tc.Charge(c.MallocNS + taskCreateNS)
 	}
 	t := &task{fn: fn, parent: parent, team: w.team, final: final,
-		undeferred: undeferred, group: w.curGroup, id: w.team.rt.taskSeq.Add(1)}
+		undeferred: undeferred, group: w.curGroup, hasDeps: len(opt.Depend) > 0}
+	if rt := w.team.rt; rt.spine != nil {
+		// The id is read by emitted events only: without a spine, tasks
+		// skip the process-wide counter.
+		t.id = rt.taskSeq.Add(1)
+	}
 	w.emitTask(ompt.TaskCreate, t.id, 0)
 	parent.children.Add(1)
 	w.team.pending.Add(1)
 	if g := t.group; g != nil {
 		g.count.Add(1)
 	}
-	if len(opt.Depend) > 0 {
+	if t.hasDeps {
 		// Seed one phantom predecessor so the task cannot be released
 		// (by a predecessor finishing mid-registration) before the edge
 		// set is complete.
@@ -251,7 +259,9 @@ func (w *Worker) runTaskBodyCaught(t *task) {
 // first (so they are findable before any waiter is woken), then the
 // parent, the taskgroup, and the team are notified.
 func (w *Worker) finishTask(t *task) {
-	w.releaseDeps(t)
+	if t.hasDeps {
+		w.releaseDeps(t)
+	}
 	if p := t.parent; p != nil {
 		p.children.Add(^uint32(0))
 		if p.waiting.Load() == 1 {

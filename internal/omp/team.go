@@ -14,7 +14,8 @@ type Team struct {
 	rt     *Runtime
 	n      int
 	fn     func(*Worker)
-	region uint64 // spine region id
+	loop   regionLoop // the loop fn runs when the region is a ParallelFor
+	region uint64     // spine region id
 
 	// Nesting chain: parent is the enclosing team, parentW the worker of
 	// it that forked this team (both nil at top level). level counts
@@ -131,7 +132,27 @@ type Team struct {
 // and dispatched through the fork tree. Parallel returns after the
 // implicit join barrier.
 func (rt *Runtime) Parallel(tc exec.TC, n int, fn func(*Worker)) {
-	rt.parallel(tc, nil, n, fn)
+	rt.parallel(tc, nil, n, fn, regionLoop{})
+}
+
+// regionLoop is the loop of a combined parallel-for region. The team
+// carries it by value, so the region needs no closure over the bounds
+// and a repeated ParallelFor allocates nothing.
+type regionLoop struct {
+	lo, hi int
+	opt    ForOpt
+	body   func(i int)
+}
+
+// ParallelFor runs the worksharing loop body over [lo, hi) on a team of
+// n threads (0 means the default ICV) — #pragma omp parallel for.
+func (rt *Runtime) ParallelFor(tc exec.TC, n, lo, hi int, opt ForOpt, body func(i int)) {
+	rt.parallel(tc, nil, n, (*Worker).runRegionLoop, regionLoop{lo, hi, opt, body})
+}
+
+func (w *Worker) runRegionLoop() {
+	l := &w.team.loop
+	w.ForEach(l.lo, l.hi, l.opt, l.body)
 }
 
 // Parallel forks a nested parallel region from inside an enclosing one:
@@ -139,7 +160,7 @@ func (rt *Runtime) Parallel(tc exec.TC, n int, fn func(*Worker)) {
 // shared pool (serialized instead when OMP_MAX_ACTIVE_LEVELS is reached
 // or no pool workers are free). It returns after the inner join.
 func (w *Worker) Parallel(n int, fn func(*Worker)) {
-	w.team.rt.parallel(w.tc, w, n, fn)
+	w.team.rt.parallel(w.tc, w, n, fn, regionLoop{})
 }
 
 // masterGid is the physical identity a team's slot-0 worker inherits:
@@ -153,13 +174,13 @@ func masterGid(parent *Worker) int32 {
 	return parent.gid
 }
 
-func (rt *Runtime) parallel(tc exec.TC, parent *Worker, n int, fn func(*Worker)) {
+func (rt *Runtime) parallel(tc exec.TC, parent *Worker, n int, fn func(*Worker), loop regionLoop) {
 	level, active := 1, 0
 	var parentRegion uint64
 	if parent != nil {
 		level = parent.team.level + 1
 		active = parent.team.activeLevel
-		parentRegion = parent.team.region
+		parentRegion = parent.region
 	}
 	if n <= 0 {
 		n = rt.threadsAt(level)
@@ -181,11 +202,13 @@ func (rt *Runtime) parallel(tc exec.TC, parent *Worker, n int, fn func(*Worker))
 		// Serialized region: no team machinery (but a deadline still
 		// arms — a serialized region can cancel its own loops/tasks).
 		team := rt.serialTeam(parent, fn)
+		team.loop = loop
 		team.region = region
 		stop := rt.armDeadline(tc, team)
 		w := team.workers[0]
 		w.tc = tc
 		w.gid = masterGid(parent)
+		w.enterRegion(region)
 		if parent != nil {
 			// Register as the parent's sub-team so an outer cancel
 			// reaches this region's loops and tasks.
@@ -212,12 +235,14 @@ func (rt *Runtime) parallel(tc exec.TC, parent *Worker, n int, fn func(*Worker))
 		rt.ensurePool(tc)
 		team, hc := rt.hotTeam(parent, n, fn)
 		n = team.n // a lease shortfall builds a smaller team
+		team.loop = loop
 		team.region = region
 		rt.placeTeam(team, tc.CPU())
 		stop := rt.armDeadline(tc, team)
 		master := team.workers[0]
 		master.tc = tc
 		master.gid = masterGid(parent)
+		master.enterRegion(region)
 		if parent != nil {
 			parent.sub.Store(team)
 			parent.team.subActive.Store(1)
@@ -321,22 +346,35 @@ func (rt *Runtime) hotTeam(parent *Worker, n int, fn func(*Worker)) (*Team, *hot
 	return t, hc
 }
 
-// resetRegionState restores per-region scheduler state on a reused hot
+// resetRegionState restores per-region shared state on a reused hot
 // team so the region is indistinguishable — in scheduling decisions and
 // in the simulated timeline — from one running on a freshly built team:
-// steal cursors start their victim rotation cold, and each deque is
-// back at initial capacity with a cold top line (growth is re-charged
-// per region, as a fresh team would). Cache state proper (the worker
-// lease, the barrier tree, placement) is exactly what hot reuse keeps.
+// each deque is back at initial capacity with a cold top line (growth is
+// re-charged per region, as a fresh team would). A deque clears only
+// what the previous region pushed, so an empty region costs the master
+// two plain stores per worker here. Each worker restarts its own steal
+// cursors when it picks the region up (enterRegion). Cache state proper
+// (the worker lease, the barrier tree, placement) is exactly what hot
+// reuse keeps.
 func (t *Team) resetRegionState() {
 	for _, w := range t.workers {
-		w.stealRR = 0
-		w.stealCur = [3]int{}
 		w.deque.reset()
 	}
 	// New sleeper epoch: stragglers still draining out of the previous
 	// region's join no longer count as parked (they are awake).
 	t.sleepers.Store(((t.sleepers.Load() >> sleepEpochShift) + 1) << sleepEpochShift)
+}
+
+// enterRegion is a worker's first act in a region, on its own thread:
+// it takes the region id its events are stamped with and restarts its
+// victim rotation cold, as on a fresh team. Both are worker-private and
+// stay out of the master's fork path — a straggler still sweeping for
+// tasks on its way out of region k's join would race a master that
+// wrote them for region k+1.
+func (w *Worker) enterRegion(region uint64) {
+	w.region = region
+	w.stealRR = 0
+	w.stealCur = [3]int{}
 }
 
 // sleepEpochShift splits the sleepers word: the high half is the region
@@ -532,6 +570,11 @@ type Worker struct {
 	// slots, -1 for the encountering thread and the masters of every
 	// team it forks down the nesting chain.
 	gid int32
+	// region is the spine id of the region this worker is running, taken
+	// from the team when the worker picks its dispatch up (enterRegion).
+	// Events are stamped from this copy: a straggler still emitting out of
+	// region k's join must not read Team.region while the master writes k+1.
+	region uint64
 
 	// sub is the inner team this worker is currently master of (set for
 	// the duration of a nested Parallel, nil otherwise): cancel

@@ -233,18 +233,42 @@ func (t *Tenant) Runtime() *omp.Runtime { return t.rt }
 // tenant's runtime. It returns ErrRejected — without running fn — when
 // the service sheds the submission.
 func (t *Tenant) Parallel(tc exec.TC, n int, fn func(*omp.Worker)) error {
+	if !t.enter(tc) {
+		return ErrRejected
+	}
+	t.rt.Parallel(tc, n, fn)
+	t.exit(tc)
+	return nil
+}
+
+// ParallelFor submits a combined parallel-for region (see
+// omp.Runtime.ParallelFor) through the same admission control.
+func (t *Tenant) ParallelFor(tc exec.TC, n, lo, hi int, opt omp.ForOpt, body func(i int)) error {
+	if !t.enter(tc) {
+		return ErrRejected
+	}
+	t.rt.ParallelFor(tc, n, lo, hi, opt, body)
+	t.exit(tc)
+	return nil
+}
+
+// enter passes one submission through admission control; false means it
+// was shed. A true return must be paired with exit after the region.
+func (t *Tenant) enter(tc exec.TC) bool {
 	s := t.svc
 	t.active.Add(1)
 	if !s.admit(tc) {
 		t.active.Add(-1)
 		s.rejected.Add(1)
-		return ErrRejected
+		return false
 	}
 	s.admitted.Add(1)
-	t.rt.Parallel(tc, n, fn)
+	return true
+}
+
+func (t *Tenant) exit(tc exec.TC) {
 	t.active.Add(-1)
-	s.leave(tc)
-	return nil
+	t.svc.leave(tc)
 }
 
 // Close releases the tenant's cached teams and leases back to the pool.

@@ -232,8 +232,12 @@ func New(threads int, opts ...Option) *OMP {
 // a shed submission panics; use Submit to handle rejection.
 func (o *OMP) Parallel(n int, fn func(*Worker)) {
 	if err := o.Submit(n, fn); err != nil {
-		panic(fmt.Sprintf("komp: %v (use Submit to handle backpressure)", err))
+		panicShed(err)
 	}
+}
+
+func panicShed(err error) {
+	panic(fmt.Sprintf("komp: %v (use Submit to handle backpressure)", err))
 }
 
 // Submit runs fn like Parallel but surfaces admission control: on a
@@ -248,11 +252,15 @@ func (o *OMP) Submit(n int, fn func(*Worker)) error {
 }
 
 // ParallelFor runs a worksharing loop over [lo, hi) on a team of n
-// threads (0 = all).
+// threads (0 = all). Like Parallel it passes admission control on a
+// tenant handle and panics when shed. The region carries the bounds, so
+// a repeated ParallelFor allocates nothing.
 func (o *OMP) ParallelFor(n, lo, hi int, opt ForOpt, body func(i int)) {
-	o.Parallel(n, func(w *Worker) {
-		w.ForEach(lo, hi, opt, body)
-	})
+	if o.tn == nil {
+		o.rt.ParallelFor(o.tc, n, lo, hi, opt, body)
+	} else if err := o.tn.ParallelFor(o.tc, n, lo, hi, opt, body); err != nil {
+		panicShed(err)
+	}
 }
 
 // Threads returns the pool size (for a tenant handle: its team cap).

@@ -22,6 +22,33 @@ func TestRealOMPParallelFor(t *testing.T) {
 	}
 }
 
+// TestRealOMPRegionsAreZeroAlloc: the public fork/join path on a warm
+// handle allocates nothing — not for the region, not for sleeping in the
+// real layer's futex, and (the region carries the loop bounds) not for a
+// ParallelFor either.
+func TestRealOMPRegionsAreZeroAlloc(t *testing.T) {
+	o := New(4)
+	defer o.Close()
+	empty := func(*Worker) {}
+	data := make([]float64, 4096)
+	each := func(i int) { data[i]++ }
+	for i := 0; i < 20; i++ {
+		o.Parallel(4, empty)
+		o.ParallelFor(4, 0, len(data), ForOpt{Sched: Static}, each)
+	}
+	if avg := testing.AllocsPerRun(200, func() { o.Parallel(4, empty) }); avg != 0 {
+		t.Errorf("Parallel: %v allocs per region, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(200, func() {
+		o.ParallelFor(4, 0, len(data), ForOpt{Sched: Static}, each)
+	}); avg != 0 {
+		t.Errorf("ParallelFor: %v allocs per region, want 0", avg)
+	}
+	if data[0] != 20+201 || data[len(data)-1] != 20+201 {
+		t.Errorf("ParallelFor ran its body %v / %v times on the first / last element, want %d", data[0], data[len(data)-1], 20+201)
+	}
+}
+
 func TestRealOMPReduceAndCritical(t *testing.T) {
 	o := New(4)
 	defer o.Close()
@@ -137,13 +164,14 @@ func TestServiceAPI(t *testing.T) {
 	a := New(2, WithTenant(svc))
 	b := New(2, WithTenant(svc), WithCancellation())
 	var sum [2]int
+	var iters atomic.Int64
 	var wg sync.WaitGroup
 	for i, h := range []*OMP{a, b} {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for r := 0; r < 20; r++ {
-				h.ParallelFor(2, 0, 100, ForOpt{}, func(int) {})
+				h.ParallelFor(2, 0, 100, ForOpt{}, func(int) { iters.Add(1) })
 				if err := h.Submit(2, func(w *Worker) {
 					w.Atomic(func() { sum[i]++ })
 				}); err != nil {
@@ -155,6 +183,9 @@ func TestServiceAPI(t *testing.T) {
 	wg.Wait()
 	if sum[0] != 40 || sum[1] != 40 {
 		t.Fatalf("per-tenant sums = %v, want 40 each", sum)
+	}
+	if got := iters.Load(); got != 2*20*100 {
+		t.Fatalf("tenant ParallelFor bodies ran %d iterations, want %d", got, 2*20*100)
 	}
 	if st := svc.Stats(); st.Admitted != 80 || st.Rejected != 0 {
 		t.Fatalf("Stats = %+v, want 80 admitted, 0 rejected", st)
