@@ -4,7 +4,7 @@
 # mutex-guarded free list shared by every Sim of the process.
 RACE_PKGS = ./internal/omp/ ./internal/exec/ ./internal/mpi/ ./internal/tenancy/ ./internal/device/ ./internal/sim/
 
-.PHONY: verify build test vet staticcheck race race-stress figures bench-smoke trace-smoke
+.PHONY: verify build test vet staticcheck race race-stress figures bench-smoke bench-diff trace-smoke
 
 verify: build vet staticcheck test race
 
@@ -68,6 +68,16 @@ bench-smoke:
 	done
 	@cmp /tmp/komp-bench-smoke/run1.txt /tmp/komp-bench-smoke/run2.txt && \
 		echo "bench-smoke: two runs byte-identical"
+
+# bench-diff compares every deterministic kompbench artifact — the
+# -quick figures, all -quick ablations (faults included), the profile,
+# and the -json records except simcore's wall-clock ones — built at git
+# ref BASE against the working tree, and fails on the first byte that
+# differs. A change meant to keep virtual time identical must pass it
+# against its parent: make bench-diff BASE=HEAD~1
+bench-diff:
+	@test -n "$(BASE)" || { echo "usage: make bench-diff BASE=<git-ref>"; exit 2; }
+	@bash scripts/bench-diff.sh "$(BASE)"
 
 # trace-smoke re-renders the synthetic spine stream through the Chrome
 # trace emitter and compares it byte-for-byte against the checked-in

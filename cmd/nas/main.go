@@ -20,6 +20,7 @@ import (
 	"github.com/interweaving/komp/internal/exec"
 	"github.com/interweaving/komp/internal/nas"
 	"github.com/interweaving/komp/internal/omp"
+	"github.com/interweaving/komp/internal/ompt"
 	"github.com/interweaving/komp/internal/trace"
 )
 
@@ -123,7 +124,12 @@ func main() {
 
 	for _, k := range sel {
 		layer := exec.NewRealLayer(*threads)
-		rt := omp.New(layer, omp.Options{MaxThreads: *threads, Bind: true, Tracer: tracer})
+		opts := omp.Options{MaxThreads: *threads, Bind: true}
+		if tracer != nil {
+			opts.Spine = ompt.NewSpine()
+			trace.Attach(tracer, opts.Spine)
+		}
+		rt := omp.New(layer, opts)
 		var verify string
 		start := time.Now()
 		_, err := layer.Run(func(tc exec.TC) {

@@ -7,8 +7,10 @@ import (
 
 // This file is the team barrier: the hierarchical combining-tree arrival
 // (BarrierHier, the default), the flat central-counter arrival
-// (BarrierFlat/BarrierTree), the tree release both share, the fused
-// reduction combine, and the team-shrink removal paths.
+// (BarrierFlat/BarrierTree, and the cancellable join), the one
+// arrive-wait-release path and the one completion every barrier shares,
+// the tree release, the fused reduction combine, and the team-shrink
+// removal paths.
 //
 // Hierarchical arrival: workers arrive at a fanout-k tree of per-node
 // counters, each on its own cache line, so a full barrier costs O(k·log n)
@@ -99,61 +101,73 @@ func (w *Worker) die() {
 	panic(offlineSignal{})
 }
 
+// barCounter is one barrier's generation word plus the central arrival
+// counter the flat and tree algorithms — and the cancellable join —
+// arrive on, with the cache line those arrivals bounce on.
+type barCounter struct {
+	gen     exec.Word // bumped by each completion; waiters sleep on it
+	arrived exec.Word
+	line    exec.Line
+}
+
 // Barrier synchronizes the team (a task scheduling point: waiting threads
 // execute queued tasks, and the barrier completes only when the task pool
 // is drained).
-func (w *Worker) Barrier() {
+func (w *Worker) Barrier() { w.barrier(&w.team.barrier) }
+
+// barrier arrives at b — the team barrier, or the cancellable region's
+// join (cancel.go) — and waits for its release. Both run this one code
+// path; only the team barrier is abandoned by a parallel cancellation,
+// releases through the tree, and retires worksharing cancellations. The
+// wrappers around it stay small enough to inline, so a wait parks no
+// deeper in the call stack than the construct that entered it.
+func (w *Worker) barrier(b *barCounter) {
 	t := w.team
-	if t.n == 1 {
+	team := b == &t.barrier
+	if team && t.n == 1 {
 		w.drainAllTasks()
 		return
 	}
 	if w.doomed() {
 		w.die() // safe point: leave the team instead of arriving
 	}
-	if t.parCancelled() {
+	if team && t.parCancelled() {
 		// The region is cancelled: this barrier is abandoned — arriving
 		// could wait forever on threads that already skipped their
 		// constructs. Every thread converges at the dedicated join
-		// barrier instead (cancel.go).
+		// barrier instead.
 		return
 	}
 	// SyncAcquire marks the arrival, SyncAcquired the release — emitted
 	// on every exit path (completer and waiters alike), so per-thread
 	// event sequences are identical regardless of who completes.
 	w.emitSync(ompt.SyncAcquire, ompt.SyncBarrier, 0)
-	tc := w.tc
-	gen := t.barGen.Load()
-	completed := false
-	if t.bar != nil {
-		// completed: this thread finished the root and released the team.
-		completed = w.hierArrive()
+	gen := b.gen.Load()
+	var done bool
+	if team && t.bar != nil {
+		// done: this thread finished the root and released the team.
+		done = w.hierArrive()
 	} else {
-		c := tc.Costs()
-		// Central arrival counter: every arrival bounces the same line.
-		tc.Contend(&t.barLine, c.AtomicRMWNS+c.CacheLineXferNS)
-		if arrived := t.barArrived.Add(1); arrived >= t.alive.Load() {
-			w.finishBarrier(arrived - 1)
-			completed = true
-		}
+		done = w.arriveFlat(b)
 	}
-	if !completed {
-		for t.barGen.Load() == gen {
-			if t.parCancelled() {
+	if !done {
+		// The generation wait, the scheduling point of every barrier:
+		// until the generation moves, help with the tasks a waiter can
+		// reach — own team first, then (once teams nest) enclosing and
+		// sibling teams — and sleep on the generation only when there
+		// are none.
+		for b.gen.Load() == gen {
+			if team && t.parCancelled() {
 				// Cancelled while waiting (publishCancel wakes parked
 				// waiters): leave without release — the generation never
 				// completes, and nothing downstream relies on it. The
-				// arrival is balanced so per-thread event pairing holds.
+				// join never abandons.
 				w.emitSync(ompt.SyncAcquired, ompt.SyncBarrier, 0)
 				return
 			}
 			if t.pendingWork() {
-				// The barrier is a task scheduling point: while the pool
-				// is non-empty — own team first, then (once teams nest)
-				// enclosing and sibling teams — waiters drain it instead
-				// of sleeping.
 				if !w.runOneTask() {
-					tc.Yield()
+					w.tc.Yield()
 				}
 				continue
 			}
@@ -163,15 +177,15 @@ func (w *Worker) Barrier() {
 				// producer either sees this sleeper or this sleeper sees
 				// its task (the wake itself can still slip between the
 				// check and the wait; the completer's wake-all recovers).
-				tc.FutexWait(&t.barGen, gen)
+				w.tc.FutexWait(&b.gen, gen)
 			}
 			t.removeSleeper(tag)
 		}
-		if t.rt.opts.BarrierAlgo != BarrierFlat {
+		if team && t.rt.opts.BarrierAlgo != BarrierFlat {
 			w.treeRelease()
 		}
 	}
-	if t.cancellable {
+	if team && t.cancellable {
 		// A worksharing cancellation retires at its construct's closing
 		// barrier: the completer cleared the loop/sections bits, and
 		// every thread re-bases its poll cache here so the next
@@ -181,10 +195,32 @@ func (w *Worker) Barrier() {
 	w.emitSync(ompt.SyncAcquired, ompt.SyncBarrier, 0)
 }
 
+// arriveFlat counts this thread in on b's central counter — every
+// arrival bounces the same line — and completes the barrier when it is
+// the last live arrival, reporting whether it did.
+func (w *Worker) arriveFlat(b *barCounter) bool {
+	c := w.tc.Costs()
+	w.tc.Contend(&b.line, c.AtomicRMWNS+c.CacheLineXferNS)
+	if arrived := b.arrived.Add(1); arrived >= w.team.alive.Load() {
+		w.completeBarrier(b, arrived-1)
+		return true
+	}
+	return false
+}
+
+// removeArrival completes b on behalf of a removed worker when the
+// arrivals already counted there are every live thread (alive is the
+// live count after the removal).
+func (w *Worker) removeArrival(b *barCounter, alive uint32) {
+	if arrived := b.arrived.Load(); alive > 0 && arrived > 0 && arrived >= alive {
+		w.completeBarrier(b, arrived)
+	}
+}
+
 // hierArrive walks this worker's arrival path up the tree. It returns
 // true when this worker completed the root — i.e. it was the last live
-// arrival and has already run finishHier (reset + release); the caller
-// returns immediately. Otherwise the caller waits on barGen.
+// arrival and has already run completeBarrier; the caller returns
+// immediately. Otherwise the caller waits on the generation.
 func (w *Worker) hierArrive() bool {
 	t := w.team
 	bt := t.bar
@@ -200,7 +236,7 @@ func (w *Worker) hierArrive() bool {
 		}
 		w.combineNode(ni)
 		if nd.parent < 0 {
-			w.finishHier(t.alive.Load() - 1)
+			w.completeBarrier(&t.barrier, t.alive.Load()-1)
 			return true
 		}
 		ni = nd.parent
@@ -242,7 +278,7 @@ func (w *Worker) hierRemove(id int) {
 		w.combineNode(ni)
 		if nd.parent < 0 {
 			// Every live thread is a waiter (the remover is not waiting).
-			w.finishHier(t.alive.Load())
+			w.completeBarrier(&t.barrier, t.alive.Load())
 			return
 		}
 		ni = nd.parent
@@ -284,80 +320,65 @@ func (w *Worker) combineNode(ni int) {
 	nd.mark.Store(round)
 }
 
-// finishHier completes a hierarchical barrier: drain the task pool,
-// publish a fused reduction's result, re-arm every node for the next
-// round (remaining := alive), bump the generation and release the
-// waiters through the tree.
-func (w *Worker) finishHier(waiters uint32) {
+// completeBarrier completes barrier b on behalf of the last arrival — or
+// of a dying worker whose removal satisfied the count, which is how a
+// team that shrinks (and cancels) at a barrier still converges. waiters
+// is the number of threads blocked on b.gen. It drains the task pool,
+// publishes a fused reduction's result and retires worksharing
+// cancellations (the team barrier only: the join closes no construct,
+// and a reduction a cancel abandoned stays unfolded), re-arms the
+// arrival counters and releases the waiters.
+func (w *Worker) completeBarrier(b *barCounter, waiters uint32) {
 	t := w.team
 	tc := w.tc
 	if t.pending.Load() > 0 {
 		// Recruit the parked team: woken waiters see the unchanged
-		// generation and spin-drain alongside the completer instead of
+		// generation and help drain alongside the completer instead of
 		// sleeping through a serial drain.
-		tc.FutexWake(&t.barGen, -1)
+		tc.FutexWake(&b.gen, -1)
 	}
-	for t.pending.Load() > 0 {
-		if !w.runOneTask() {
-			tc.Yield()
-		}
-	}
-	if round := t.redArmed.Load(); round != t.redDone.Load() {
-		t.redResult = t.bar.nodes[t.bar.root].partial
-		t.redDone.Store(round)
-	}
-	if t.cancellable {
-		t.clearWSCancel()
-	}
-	for i := range t.bar.nodes {
-		nd := &t.bar.nodes[i]
-		nd.remaining.Store(nd.alive.Load())
-	}
-	t.relBudget.Store(waiters)
-	t.barGen.Add(1)
-	w.treeRelease()
-}
-
-// finishBarrier completes a flat or tree barrier on behalf of the last
-// arrival (or of a dying worker whose removal satisfied the count).
-// waiters is the number of threads blocked on barGen.
-func (w *Worker) finishBarrier(waiters uint32) {
-	t := w.team
-	tc := w.tc
-	if t.pending.Load() > 0 {
-		tc.FutexWake(&t.barGen, -1) // recruit parked waiters as thieves
-	}
-	for t.pending.Load() > 0 {
-		if !w.runOneTask() {
-			tc.Yield()
-		}
-	}
-	if round := t.redArmed.Load(); round != t.redDone.Load() {
-		// Fused reduction, flat arrival: one O(n) scan by the completer
-		// replaces the per-thread scans of the two-barrier algorithm.
-		op := ReduceOp(t.redOp.Load())
-		acc := op.Identity()
-		for i := 0; i < t.n; i++ {
-			if t.redMark[i] == round {
-				acc = op.Apply(acc, t.redSlots[i])
+	w.drainAllTasks()
+	team := b == &t.barrier
+	if round := t.redArmed.Load(); team && round != t.redDone.Load() {
+		if t.bar != nil {
+			t.redResult = t.bar.nodes[t.bar.root].partial
+		} else {
+			// Flat arrival: one O(n) scan by the completer replaces the
+			// per-thread scans of the two-barrier algorithm.
+			op := ReduceOp(t.redOp.Load())
+			acc := op.Identity()
+			for i := 0; i < t.n; i++ {
+				if t.redMark[i] == round {
+					acc = op.Apply(acc, t.redSlots[i])
+				}
 			}
+			tc.Charge(int64(t.n) * tc.Costs().CacheLineXferNS / 4)
+			t.redResult = acc
 		}
-		tc.Charge(int64(t.n) * tc.Costs().CacheLineXferNS / 4)
-		t.redResult = acc
 		t.redDone.Store(round)
 	}
-	if t.cancellable {
+	if t.cancellable && team {
 		t.clearWSCancel()
 	}
-	t.barArrived.Store(0)
-	if t.rt.opts.BarrierAlgo == BarrierFlat {
-		t.barGen.Add(1)
+	if t.bar != nil && team {
+		for i := range t.bar.nodes {
+			nd := &t.bar.nodes[i]
+			nd.remaining.Store(nd.alive.Load())
+		}
+	} else {
+		// Only a flat arrival dirtied the central counter. Under the tree
+		// it is left alone: a store would pull the generation's line away
+		// from the waiters polling it just before the release.
+		b.arrived.Store(0)
+	}
+	if !team || t.rt.opts.BarrierAlgo == BarrierFlat {
+		b.gen.Add(1)
 		// Wake storm: the single waker pays for every wake.
-		tc.FutexWake(&t.barGen, -1)
+		tc.FutexWake(&b.gen, -1)
 		return
 	}
 	t.relBudget.Store(waiters)
-	t.barGen.Add(1)
+	b.gen.Add(1)
 	w.treeRelease()
 }
 
@@ -378,6 +399,6 @@ func (w *Worker) treeRelease() {
 			k--
 			continue
 		}
-		tc.FutexWake(&t.barGen, 1)
+		tc.FutexWake(&t.barrier.gen, 1)
 	}
 }

@@ -242,8 +242,8 @@ func (t *Team) publishCancel(tc exec.TC, bits uint32) bool {
 		tc.Contend(&t.cancelLine, xfer)
 	}
 	if bits&cancelBitParallel != 0 {
-		tc.FutexWake(&t.barGen, -1)
-		tc.FutexWake(&t.joinGen, -1)
+		tc.FutexWake(&t.barrier.gen, -1)
+		tc.FutexWake(&t.joinBar.gen, -1)
 		if t.subActive.Load() != 0 {
 			// Cancellation propagates down the team hierarchy: every
 			// active inner team inherits the parallel bit on its own
@@ -380,66 +380,23 @@ func (t *Team) clearWSCancel() {
 
 // join is the implicit barrier ending a parallel region. Without the
 // cancellation ICV it is the ordinary team barrier — bit-identical to
-// the pre-cancellation runtime. With it, the join arrives on a dedicated
-// counter: a cancelled region abandons its inner barriers (parked
-// waiters leave early, later barriers are skipped), so join arrivals
-// must never be absorbed by a half-complete inner generation. libomp
-// separates its fork-join barrier from the plain barrier for the same
-// reason.
+// the pre-cancellation runtime. With it, the join is a central-counter
+// barrier on its own counter and generation (joinBar): a cancelled
+// region abandons its inner barriers (parked waiters leave early, later
+// barriers are skipped), so join arrivals must never be absorbed by a
+// half-complete inner generation. libomp separates its fork-join barrier
+// from the plain barrier for the same reason. The arrival, the wait and
+// the completion are the team barrier's own (barrier.go); the join only
+// never abandons, always releases with one wake-all, and leaves
+// reductions and worksharing cancellations alone. A worker doomed here
+// dies at this safe point, and removeWorker completes the join if needed.
 func (w *Worker) join() {
 	t := w.team
-	if !t.cancellable {
-		w.Barrier()
-		return
+	b := &t.barrier
+	if t.cancellable {
+		b = &t.joinBar
 	}
-	if w.doomed() {
-		w.die() // safe point: removeWorker completes the join if needed
-	}
-	w.emitSync(ompt.SyncAcquire, ompt.SyncBarrier, 0)
-	tc := w.tc
-	c := tc.Costs()
-	gen := t.joinGen.Load()
-	tc.Contend(&t.joinLine, c.AtomicRMWNS+c.CacheLineXferNS)
-	if arrived := t.joinArrived.Add(1); arrived >= t.alive.Load() {
-		w.finishJoin()
-	} else {
-		for t.joinGen.Load() == gen {
-			if t.pendingWork() {
-				// A task scheduling point like any barrier: cancelled
-				// task bodies are discarded with full accounting.
-				if !w.runOneTask() {
-					tc.Yield()
-				}
-				continue
-			}
-			tag := t.addSleeper()
-			if !t.pendingWork() {
-				tc.FutexWait(&t.joinGen, gen)
-			}
-			t.removeSleeper(tag)
-		}
-	}
-	w.emitSync(ompt.SyncAcquired, ompt.SyncBarrier, 0)
-}
-
-// finishJoin completes the dedicated join barrier on behalf of the last
-// arrival — or of a dying worker whose removal satisfied the count,
-// which is how a team that shrinks and cancels at the same barrier still
-// converges.
-func (w *Worker) finishJoin() {
-	t := w.team
-	tc := w.tc
-	if t.pending.Load() > 0 {
-		tc.FutexWake(&t.joinGen, -1) // recruit parked waiters as thieves
-	}
-	for t.pending.Load() > 0 {
-		if !w.runOneTask() {
-			tc.Yield()
-		}
-	}
-	t.joinArrived.Store(0)
-	t.joinGen.Add(1)
-	tc.FutexWake(&t.joinGen, -1)
+	w.barrier(b)
 }
 
 // armDeadline starts the region-deadline timer when both the

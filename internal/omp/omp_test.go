@@ -715,8 +715,10 @@ func TestTreeBarrierCorrectAndFasterAtScale(t *testing.T) {
 
 func TestTracerRecordsRegionsAndLoops(t *testing.T) {
 	tr := trace.New()
+	sp := ompt.NewSpine()
+	trace.Attach(tr, sp)
 	layer := exec.NewSimLayer(sim.New(4, 1), simCosts())
-	rt := New(layer, Options{MaxThreads: 4, Bind: true, Tracer: tr})
+	rt := New(layer, Options{MaxThreads: 4, Bind: true, Spine: sp})
 	_, err := layer.Run(func(tc exec.TC) {
 		rt.Parallel(tc, 4, func(w *Worker) {
 			w.ForEach(0, 64, ForOpt{Sched: Dynamic, Chunk: 4}, func(i int) {

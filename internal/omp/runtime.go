@@ -24,7 +24,6 @@ import (
 	"github.com/interweaving/komp/internal/ompt"
 	"github.com/interweaving/komp/internal/places"
 	"github.com/interweaving/komp/internal/pthread"
-	"github.com/interweaving/komp/internal/trace"
 )
 
 // Schedule is an OpenMP loop schedule kind.
@@ -233,9 +232,6 @@ type Options struct {
 	// PthreadImpl selects the pthread layer variant beneath the runtime
 	// (NPTL for Linux/PIK, PTE or Custom for RTK).
 	PthreadImpl pthread.Impl
-	// ForkChargeNS is the dispatching-side setup cost per forked worker
-	// (work-descriptor writes, cache line pushes).
-	ForkChargeNS int64
 	// BarrierAlgo selects the barrier arrival/release algorithm. Set in
 	// code only: flat and tree are the barrier ablation's references.
 	BarrierAlgo BarrierAlgo
@@ -309,10 +305,6 @@ type Options struct {
 	// runtime emits (package ompt). Consumers must be registered before
 	// the first Parallel; a nil spine costs one mask test per emit site.
 	Spine *ompt.Spine
-	// Tracer, if non-nil, records parallel regions, worksharing loops
-	// and barriers as Chrome trace events. It is implemented as a spine
-	// consumer: New attaches it to Spine (creating one if needed).
-	Tracer *trace.Tracer
 	// Warnings collects non-fatal configuration diagnostics Env found —
 	// an OMP_PROC_BIND list with more levels than OMP_MAX_ACTIVE_LEVELS
 	// allows to ever apply, a KOMP_REGION_DEADLINE that OMP_CANCELLATION
@@ -393,9 +385,6 @@ func New(layer exec.Layer, opts Options) *Runtime {
 	if opts.MaxActiveLevels < 1 {
 		opts.MaxActiveLevels = 1 // nested regions serialize by default
 	}
-	if opts.ForkChargeNS == 0 {
-		opts.ForkChargeNS = 120
-	}
 	if opts.BarrierFanout < 2 {
 		opts.BarrierFanout = 4
 	}
@@ -414,14 +403,6 @@ func New(layer exec.Layer, opts Options) *Runtime {
 			panic(fmt.Sprintf("omp: invalid places spec: %v", err))
 		}
 		opts.Places = p
-	}
-	if opts.Tracer != nil {
-		// The tracer is just the first spine consumer: give it a spine
-		// to listen on if the caller did not provide one.
-		if opts.Spine == nil {
-			opts.Spine = ompt.NewSpine()
-		}
-		trace.Attach(opts.Tracer, opts.Spine)
 	}
 	return &Runtime{
 		layer:    layer,

@@ -24,7 +24,7 @@ type task struct {
 	final bool
 	// undeferred marks a task the encountering thread runs inline
 	// (if(false) or final). When such a task is held on dependences the
-	// encountering thread waits in waitDeps; the releasing predecessor
+	// encountering thread waits in waitCount; the releasing predecessor
 	// must wake that waiter instead of queueing the task.
 	undeferred bool
 
@@ -51,6 +51,10 @@ func (w *Worker) currentTask() *task {
 	}
 	return w.curTask
 }
+
+// forkChargeNS is the dispatching-side setup cost per forked worker
+// (work-descriptor writes, cache line pushes).
+const forkChargeNS = 120
 
 // taskCreateNS is the allocation + descriptor setup cost of one explicit
 // task beyond the malloc itself.
@@ -133,7 +137,7 @@ func (w *Worker) TaskWith(opt TaskOpt, fn func(*Worker)) {
 			// thread passes the construct: wait out the predecessors
 			// (helping with ready tasks), then fall through to run the
 			// body inline.
-			w.waitDeps(t)
+			w.waitCount(&t.npred, nil)
 		}
 	}
 	if !undeferred && w.cutoffHit() {
@@ -155,30 +159,37 @@ func (w *Worker) TaskWith(opt TaskOpt, fn func(*Worker)) {
 func (w *Worker) wakeThief() {
 	t := w.team
 	if t.parkedSleepers() > 0 {
-		w.tc.FutexWake(&t.barGen, 1)
+		w.tc.FutexWake(&t.barrier.gen, 1)
 		if t.cancellable {
 			// Sleepers of a cancellable region may be parked at the
 			// dedicated join barrier instead (cancel.go).
-			w.tc.FutexWake(&t.joinGen, 1)
+			w.tc.FutexWake(&t.joinBar.gen, 1)
 		}
 	}
 }
 
-// waitDeps blocks the encountering thread until t's predecessors have
-// all finished (npred drained to zero), executing ready tasks while it
-// waits. Used for undeferred tasks held on dependences: the thread may
-// not proceed past the construct, so it helps until t becomes runnable
-// and then runs the body itself.
-func (w *Worker) waitDeps(t *task) {
+// waitCount is the scheduling-point wait of taskwait, taskgroup and an
+// undeferred task held on dependences: until count drains to zero, run
+// ready tasks, and sleep on count only when none is left to run. waiting,
+// when non-nil, is raised for the duration of the sleep so the thread
+// decrementing count knows a wake is owed; without it (npred) every
+// decrement that reaches zero wakes.
+func (w *Worker) waitCount(count, waiting *exec.Word) {
 	for {
-		n := t.npred.Load()
+		n := count.Load()
 		if n == 0 {
 			return
 		}
 		if w.runOneTask() {
 			continue
 		}
-		w.tc.FutexWait(&t.npred, n)
+		if waiting != nil {
+			waiting.Store(1)
+		}
+		w.tc.FutexWait(count, n)
+		if waiting != nil {
+			waiting.Store(0)
+		}
 	}
 }
 
@@ -478,20 +489,8 @@ func (w *Worker) finishSteal(tc exec.TC, victim *Worker, t *task) {
 // executing available tasks while it waits (#pragma omp taskwait).
 func (w *Worker) Taskwait() {
 	cur := w.currentTask()
-	tc := w.tc
 	w.emitSync(ompt.SyncAcquire, ompt.SyncTaskwait, cur.id)
-	for {
-		n := cur.children.Load()
-		if n == 0 {
-			break
-		}
-		if w.runOneTask() {
-			continue
-		}
-		cur.waiting.Store(1)
-		tc.FutexWait(&cur.children, n)
-		cur.waiting.Store(0)
-	}
+	w.waitCount(&cur.children, &cur.waiting)
 	w.emitSync(ompt.SyncAcquired, ompt.SyncTaskwait, cur.id)
 }
 

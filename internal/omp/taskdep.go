@@ -143,7 +143,7 @@ func (w *Worker) releaseSuccs(succs []*task) {
 	for _, s := range succs {
 		if s.npred.Add(^uint32(0)) == 0 {
 			if s.undeferred {
-				// The encountering thread is in waitDeps, blocked on
+				// The encountering thread is in waitCount, blocked on
 				// npred or busy helping; it runs the body inline.
 				w.tc.FutexWake(&s.npred, -1)
 			} else {

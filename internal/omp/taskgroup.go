@@ -56,18 +56,7 @@ func (w *Worker) Taskgroup(fn func(*Worker)) {
 	w.emitTask(ompt.TaskgroupBegin, g.id, 0)
 	w.runGroupBody(g, fn)
 	w.emitSync(ompt.SyncAcquire, ompt.SyncTaskgroup, g.id)
-	for {
-		n := g.count.Load()
-		if n == 0 {
-			break
-		}
-		if w.runOneTask() {
-			continue
-		}
-		g.waiting.Store(1)
-		w.tc.FutexWait(&g.count, n)
-		g.waiting.Store(0)
-	}
+	w.waitCount(&g.count, &g.waiting)
 	w.emitSync(ompt.SyncAcquired, ompt.SyncTaskgroup, g.id)
 	w.emitTask(ompt.TaskgroupEnd, g.id, 0)
 	if g.panicked {

@@ -60,13 +60,12 @@ type Team struct {
 	subActive exec.Word
 
 	// Join/explicit barrier state. bar is the hierarchical arrival tree
-	// (BarrierHier, the default); barArrived/barLine are the central
-	// counter the flat and tree algorithms arrive on.
-	bar        *barTree
-	barGen     exec.Word
-	barArrived exec.Word
-	barLine    exec.Line
-	relBudget  exec.Word // tree-release wake budget
+	// (BarrierHier, the default); barrier holds the generation every
+	// algorithm releases on and the central counter the flat and tree
+	// algorithms arrive on.
+	bar       *barTree
+	barrier   barCounter
+	relBudget exec.Word // tree-release wake budget
 
 	// Cancellation (cancel.go). cancellable mirrors the OMP_CANCELLATION
 	// ICV; with it off none of the fields below are ever touched and
@@ -74,24 +73,21 @@ type Team struct {
 	// cancelFlags is the authoritative cancel-bit word; cancelLine is
 	// the one hot line all pollers miss on under flat propagation (under
 	// tree propagation the bits ride the barrier tree's per-node lines
-	// instead). joinGen/joinArrived/joinLine are the dedicated join
-	// barrier of a cancellable region: inner barriers may be abandoned
-	// by a cancel, so the region's join must not share their generation
-	// counter (libomp's plain vs fork-join barrier split).
+	// instead). joinBar is the dedicated join barrier of a cancellable
+	// region: inner barriers may be abandoned by a cancel, so the
+	// region's join must not share their generation counter (libomp's
+	// plain vs fork-join barrier split).
 	cancellable bool
 	cancelTree  bool // propagate cancel bits down the barrier tree
 	cancelFlags exec.Word
 	cancelLine  exec.Line
-	joinGen     exec.Word
-	joinArrived exec.Word
-	joinLine    exec.Line
+	joinBar     barCounter
 
-	// Worksharing state: fixed rings of pre-allocated construct
-	// descriptors indexed by construct sequence (libomp's dispatch
-	// buffers) — no structural lock, no per-construct allocation.
-	loopRing   [dispatchRingSize]loopBuf
-	singleRing [dispatchRingSize]singleBuf
-	sections   exec.Word
+	// Worksharing state: one fixed ring of pre-allocated construct
+	// descriptors per construct kind, indexed by construct sequence
+	// (libomp's dispatch buffers) — no structural lock, no per-construct
+	// allocation.
+	rings [numRings][dispatchRingSize]dispatchBuf
 
 	// Tasking.
 	pending exec.Word // tasks created and not yet finished
@@ -590,19 +586,19 @@ type Worker struct {
 	serialChild *Team
 
 	// Per-thread construct sequence counters (each thread encounters the
-	// same constructs in the same order — the SPMD contract).
-	loopSeen    uint32
-	singleSeen  uint32
+	// same constructs in the same order — the SPMD contract): seen[k]
+	// counts the constructs of dispatch ring k.
+	seen        [numRings]uint32
 	sectionSeen uint32
 	redSeen     uint32
 
-	// Published progress: the sequence tag (seq+1) of the latest loop /
-	// single construct this worker entered, and whether the worker has
-	// been removed from the team. Teammates read these to prove an old
-	// dispatch buffer quiescent before reclaiming it.
-	loopPos   exec.Word
-	singlePos exec.Word
-	gone      exec.Word
+	// Published progress: ringPos[k] is the sequence tag (seq+1) of the
+	// latest construct of dispatch ring k this worker entered, and gone
+	// whether the worker has been removed from the team. Teammates read
+	// these to prove an old dispatch buffer quiescent before reclaiming
+	// it.
+	ringPos [numRings]exec.Word
+	gone    exec.Word
 
 	// cancelSeen is this worker's private copy of the team cancel bits
 	// it has already observed (and paid the coherence miss for): a poll
@@ -680,7 +676,7 @@ func (w *Worker) dispatchSlot(c int) {
 		return
 	}
 	pw.team = t
-	w.tc.Charge(t.rt.opts.ForkChargeNS + w.tc.Costs().CacheLineXferNS)
+	w.tc.Charge(forkChargeNS + w.tc.Costs().CacheLineXferNS)
 	pw.gate.Add(1)
 	w.tc.FutexWake(&pw.gate, 1)
 }
@@ -699,17 +695,13 @@ func (w *Worker) removeWorker(id int) {
 		// The removed worker may have been the arrival the dedicated
 		// join barrier was waiting on — a team that shrinks and cancels
 		// at the same barrier still converges at the join.
-		if ja := t.joinArrived.Load(); alive > 0 && ja > 0 && ja >= alive {
-			w.finishJoin()
-		}
+		w.removeArrival(&t.joinBar, alive)
 	}
 	if t.bar != nil {
 		w.hierRemove(id)
 		return
 	}
-	if arrived := t.barArrived.Load(); alive > 0 && arrived > 0 && arrived >= alive {
-		w.finishBarrier(arrived)
-	}
+	w.removeArrival(&t.barrier, alive)
 }
 
 // TC returns the worker's thread context.

@@ -1,9 +1,6 @@
 package omp
 
-import (
-	"github.com/interweaving/komp/internal/exec"
-	"github.com/interweaving/komp/internal/ompt"
-)
+import "github.com/interweaving/komp/internal/ompt"
 
 // ForOpt configures a worksharing loop.
 type ForOpt struct {
@@ -13,38 +10,6 @@ type ForOpt struct {
 	Chunk int
 	// NoWait elides the implicit barrier at loop end.
 	NoWait bool
-}
-
-// loopDesc is the shared descriptor of one dynamically-scheduled loop.
-type loopDesc struct {
-	lo, hi int
-	chunk  int
-	sched  Schedule
-	next   exec.Word // offset from lo, in iterations
-	line   exec.Line // the cache line the shared counter lives on
-	done   exec.Word // threads finished with this loop
-	// ordNext is the ordered-construct cursor (absolute iteration).
-	ordNext exec.Word
-}
-
-// getLoop returns this thread's next loop construct's dispatch buffer,
-// claiming a ring slot on first arrival — no lock, no allocation.
-func (w *Worker) getLoop(lo, hi int, opt ForOpt) *loopBuf {
-	id := w.loopSeen
-	w.loopSeen++
-	w.loopPos.Store(id + 1) // publish progress before touching the ring
-	return w.acquireLoop(id, lo, hi, opt)
-}
-
-// putLoop is a thread's last touch of a loop construct. The nth arrival
-// retires the buffer; under team shrink the count is unreachable and the
-// buffer is instead reclaimed by acquireLoop's quiescence rescue when
-// the ring wraps onto it.
-func (w *Worker) putLoop(id uint32, b *loopBuf) {
-	t := w.team
-	if b.d.done.Add(1) == uint32(t.n) {
-		t.freeLoop(b, id+1)
-	}
 }
 
 // For executes the canonical worksharing loop for the half-open range
@@ -58,7 +23,7 @@ func (w *Worker) For(lo, hi int, opt ForOpt, body func(lo, hi int)) {
 	// what actually ran (a resiliently degraded static loop dispatches
 	// dynamic-style chunks under a loop-static work region).
 	wk := workKind(opt.Sched)
-	seq := uint64(w.loopSeen)
+	seq := uint64(w.seen[ringLoop])
 	w.emitWork(ompt.WorkBegin, wk, seq, int64(lo), int64(hi))
 	sched := opt.Sched
 	if (sched == Static || sched == Affinity) && w.team.resilient {
@@ -82,8 +47,7 @@ func (w *Worker) For(lo, hi int, opt ForOpt, body func(lo, hi int)) {
 		// consumed it, so ring quiescence proofs and per-thread event
 		// pairing stay valid. The closing barrier is a no-op too.
 		if sched == Dynamic || sched == Guided {
-			w.loopSeen++
-			w.loopPos.Store(w.loopSeen)
+			w.advance(ringLoop)
 		}
 		w.emitWork(ompt.WorkEnd, wk, seq, int64(lo), int64(hi))
 		if !opt.NoWait {
@@ -104,13 +68,11 @@ func (w *Worker) For(lo, hi int, opt ForOpt, body func(lo, hi int)) {
 		// first-touched pages stay local.
 		w.tc.Charge(staticSetupNS + int64(n)) // + the O(team) rank scan
 		w.staticChunks(w.placeRank(), lo, hi, opt.Chunk, wk, seq, body)
-	case Dynamic:
-		id := w.loopSeen
-		b := w.getLoop(lo, hi, opt)
+	case Dynamic, Guided:
+		id, b := w.nextBuf(ringLoop, lo, hi, opt.Chunk)
 		if b == nil {
 			break // cancelled while acquiring the dispatch buffer
 		}
-		d := &b.d
 		for {
 			if w.doomed() {
 				w.die() // safe point: unclaimed chunks go to survivors
@@ -121,70 +83,44 @@ func (w *Worker) For(lo, hi int, opt ForOpt, body func(lo, hi int)) {
 				// accounting below still runs, so retirement is intact.
 				break
 			}
-			// The shared chunk counter is one cache line: grabs
+			// The shared chunk counter is one cache line: claims
 			// serialize across the team (the real cost of dynamic,1).
-			w.tc.Contend(&d.line, c.AtomicRMWNS+c.CacheLineXferNS)
-			off := int(d.next.Add(uint32(d.chunk))) - d.chunk
-			s := lo + off
-			if s >= hi {
-				break
-			}
-			e := s + d.chunk
-			if e > hi {
-				e = hi
-			}
-			w.emitWork(ompt.DispatchChunk, wk, seq, int64(s), int64(e))
-			body(s, e)
-		}
-		w.putLoop(id, b)
-	case Guided:
-		id := w.loopSeen
-		b := w.getLoop(lo, hi, opt)
-		if b == nil {
-			break // cancelled while acquiring the dispatch buffer
-		}
-		d := &b.d
-		total := hi - lo
-		for {
-			if w.doomed() {
-				w.die() // safe point: unclaimed chunks go to survivors
-			}
-			if w.team.cancellable && w.pollCancel() != 0 {
-				break // cancelled: remaining chunks are abandoned
-			}
-			w.tc.Contend(&d.line, c.AtomicRMWNS+c.CacheLineXferNS)
-			var s, e int
-			for {
-				off := int(d.next.Load())
-				if off >= total {
-					s = hi
-					break
-				}
-				remaining := total - off
-				sz := remaining / (2 * n)
-				if sz < d.chunk {
-					sz = d.chunk
-				}
-				if sz > remaining {
-					sz = remaining
-				}
-				if d.next.CompareAndSwap(uint32(off), uint32(off+sz)) {
-					s, e = lo+off, lo+off+sz
-					break
-				}
-				w.tc.Charge(c.AtomicRMWNS)
-			}
+			w.tc.Contend(&b.line, c.AtomicRMWNS+c.CacheLineXferNS)
+			s, e := w.claimChunk(b, sched == Guided)
 			if s >= hi {
 				break
 			}
 			w.emitWork(ompt.DispatchChunk, wk, seq, int64(s), int64(e))
 			body(s, e)
 		}
-		w.putLoop(id, b)
+		b.leave(w.team, id)
 	}
 	w.emitWork(ompt.WorkEnd, wk, seq, int64(lo), int64(hi))
 	if !opt.NoWait {
 		w.Barrier()
+	}
+}
+
+// claimChunk takes the next chunk [s, e) of loop buffer b — a fixed
+// chunk under dynamic, under guided a share of what remains that shrinks
+// with it — or returns s >= hi once the loop is exhausted.
+func (w *Worker) claimChunk(b *dispatchBuf, guided bool) (s, e int) {
+	if !guided {
+		s = b.lo + int(b.next.Add(uint32(b.chunk))) - b.chunk
+		return s, min(s+b.chunk, b.hi)
+	}
+	total := b.hi - b.lo
+	for {
+		off := int(b.next.Load())
+		if off >= total {
+			return b.hi, b.hi
+		}
+		remaining := total - off
+		sz := min(max(remaining/(2*w.team.n), b.chunk), remaining)
+		if b.next.CompareAndSwap(uint32(off), uint32(off+sz)) {
+			return b.lo + off, b.lo + off + sz
+		}
+		w.tc.Charge(w.tc.Costs().AtomicRMWNS)
 	}
 }
 
@@ -242,8 +178,8 @@ func (w *Worker) ForEach(lo, hi int, opt ForOpt, body func(i int)) {
 // receives the iteration index and an ordered closure that runs its
 // argument in strict iteration order.
 func (w *Worker) ForOrdered(lo, hi int, opt ForOpt, body func(i int, ordered func(func()))) {
-	id := w.loopSeen // the descriptor the chunk iterator will use
-	var d *loopDesc
+	id := w.seen[ringLoop] // the descriptor the chunk iterator will use
+	var d *dispatchBuf
 	inner := func(i int) {
 		body(i, func(fn func()) {
 			tc := w.tc
@@ -268,8 +204,8 @@ func (w *Worker) ForOrdered(lo, hi int, opt ForOpt, body func(i int, ordered fun
 		})
 	}
 	// Pre-create the descriptor so `d` is bound before iteration.
-	b := w.getLoop(lo, hi, opt)
-	if b == nil {
+	_, d = w.nextBuf(ringLoop, lo, hi, opt.Chunk)
+	if d == nil {
 		// Cancelled while acquiring the dispatch buffer: the whole
 		// construct is skipped (its closing barrier is a no-op).
 		if !opt.NoWait {
@@ -277,12 +213,11 @@ func (w *Worker) ForOrdered(lo, hi int, opt ForOpt, body func(i int, ordered fun
 		}
 		return
 	}
-	d = &b.d
-	w.loopSeen-- // getLoop in For will re-fetch the same id
+	w.seen[ringLoop]-- // nextBuf in For will re-fetch the same id
 	w.ForEach(lo, hi, ForOpt{Sched: opt.Sched, Chunk: opt.Chunk, NoWait: true}, inner)
-	if w.loopSeen == id { // static path did not consume the descriptor
-		w.loopSeen++
-		w.putLoop(id, b)
+	if w.seen[ringLoop] == id { // static path did not consume the descriptor
+		w.seen[ringLoop]++
+		d.leave(w.team, id)
 	}
 	if !opt.NoWait {
 		w.Barrier()
@@ -311,47 +246,28 @@ func (w *Worker) SingleCopyPrivate(fn func() any) any {
 
 func (w *Worker) singleImpl(nowait bool, fn func()) {
 	t := w.team
-	tc := w.tc
-	c := tc.Costs()
-	id := w.singleSeen
-	w.singleSeen++
+	c := w.tc.Costs()
+	id := w.seen[ringSingle]
 	w.emitWork(ompt.WorkBegin, ompt.WorkSingle, uint64(id), 0, 0)
 	if t.n == 1 {
+		w.seen[ringSingle]++
 		fn()
 		w.emitWork(ompt.WorkEnd, ompt.WorkSingle, uint64(id), 1, 0)
 		return
 	}
+	won := int64(0)
 	if t.cancellable && w.pollCancel()&cancelBitParallel != 0 {
 		// Cancelled region: skip the construct (nobody runs the body),
 		// keeping published progress in step for ring quiescence.
-		w.singlePos.Store(id + 1)
-		w.emitWork(ompt.WorkEnd, ompt.WorkSingle, uint64(id), 0, 0)
-		if !nowait {
-			w.Barrier()
+		w.advance(ringSingle)
+	} else if _, b := w.nextBuf(ringSingle, 0, 0, 0); b != nil { // nil: cancelled while acquiring
+		// The winner election bounces the slot's line across arrivals.
+		w.tc.Contend(&b.line, c.AtomicRMWNS+c.CacheLineXferNS)
+		if b.next.CompareAndSwap(0, 1) {
+			won = 1
+			fn()
 		}
-		return
-	}
-	w.singlePos.Store(id + 1) // publish progress before touching the ring
-	b := w.acquireSingle(id)
-	if b == nil {
-		// Cancelled while acquiring the dispatch buffer.
-		w.emitWork(ompt.WorkEnd, ompt.WorkSingle, uint64(id), 0, 0)
-		if !nowait {
-			w.Barrier()
-		}
-		return
-	}
-	// The winner election bounces the slot's line across arrivals.
-	tc.Contend(&b.line, c.AtomicRMWNS+c.CacheLineXferNS)
-	won := int64(0)
-	if b.won.CompareAndSwap(0, 1) {
-		won = 1
-		fn()
-	}
-	// Arrival accounting: the nth arrival retires the buffer (under team
-	// shrink the quiescence rescue in acquireSingle reclaims it instead).
-	if b.done.Add(1) == uint32(t.n) {
-		t.freeSingle(b, id+1)
+		b.leave(t, id)
 	}
 	w.emitWork(ompt.WorkEnd, ompt.WorkSingle, uint64(id), won, 0)
 	if !nowait {
@@ -372,11 +288,4 @@ func (w *Worker) Sections(nowait bool, sections ...func()) {
 	if !nowait {
 		w.Barrier()
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
