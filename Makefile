@@ -4,7 +4,7 @@
 # mutex-guarded free list shared by every Sim of the process.
 RACE_PKGS = ./internal/omp/ ./internal/exec/ ./internal/mpi/ ./internal/tenancy/ ./internal/device/ ./internal/sim/
 
-.PHONY: verify build test vet staticcheck race race-stress figures bench-smoke bench-diff trace-smoke
+.PHONY: verify build test vet staticcheck race race-stress fuzz-smoke figures bench-smoke bench-diff trace-smoke
 
 verify: build vet staticcheck test race
 
@@ -38,6 +38,20 @@ race:
 # show on every run. CI runs it after `verify`.
 race-stress:
 	go test -race -count=3 -cpu 1,2,4 $(RACE_PKGS)
+
+# fuzz-smoke fuzzes every Fuzz* target of the module for 5 s, one target
+# per `go test` run (-fuzz accepts only one). `go test -list` finds them,
+# so a new target joins without editing this file. CI runs it after
+# race-stress; a crasher lands in the package's testdata/fuzz/.
+fuzz-smoke:
+	@go test -list '^Fuzz' ./... | \
+	awk '/^Fuzz/ { names = names " " $$1 } /^ok/ { if (names != "") print $$2 names; names = "" }' | \
+	while read pkg targets; do \
+		for t in $$targets; do \
+			echo "fuzz-smoke: $$pkg $$t"; \
+			go test "$$pkg" -run '^$$' -fuzz "^$$t\$$" -fuzztime 5s || exit 1; \
+		done; \
+	done
 
 figures:
 	go run ./cmd/kompbench -quick

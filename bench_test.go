@@ -166,20 +166,3 @@ func BenchmarkNASModelRun(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkEPRealKernel measures the real EP kernel per Gaussian pair.
-func BenchmarkEPRealKernel(b *testing.B) {
-	layer := exec.NewRealLayer(4)
-	rt := omp.New(layer, omp.Options{MaxThreads: 4, Bind: true})
-	b.ResetTimer()
-	_, err := layer.Run(func(tc exec.TC) {
-		for i := 0; i < b.N; i++ {
-			nas.EP(tc, rt, 14, 4)
-		}
-		rt.Close(tc)
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(1 << 14)
-}

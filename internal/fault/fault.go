@@ -19,6 +19,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -211,7 +212,7 @@ func (p *Plan) setRate(k, v string) error {
 		return nil
 	}
 	f, err := strconv.ParseFloat(v, 64)
-	if err != nil || f < 0 || f > 1 {
+	if err != nil || !(f >= 0 && f <= 1) { // NaN fails both comparisons
 		return fmt.Errorf("bad rate value %q for %q (want a number in [0,1])", v, k)
 	}
 	switch k {
@@ -290,6 +291,9 @@ func parseDur(s string) (sim.Time, error) {
 	n, err := strconv.ParseInt(digits, 10, 64)
 	if err != nil || n < 0 {
 		return 0, fmt.Errorf("bad duration %q (want a non-negative integer with an ns/us/ms/s suffix)", s)
+	}
+	if n > math.MaxInt64/unit {
+		return 0, fmt.Errorf("duration %q overflows the 64-bit nanosecond clock", s)
 	}
 	return n * unit, nil
 }

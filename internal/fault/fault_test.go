@@ -70,6 +70,9 @@ func TestParseErrorsNameTokenAndPosition(t *testing.T) {
 		{"cpu-offline@2ms:zz", []string{`term 1`, `arg "zz"`, `integer`}},
 		{"seed=abc", []string{`term 1`, `seed value "abc"`, `integer`}},
 		{"irq-storm@1ms:0+9qs", []string{`term 1`, `duration "9qs"`}},
+		{"drop=NaN", []string{`term 1`, `rate value "NaN"`, `[0,1]`}},
+		{"crash@10000000000s:1", []string{`term 1`, `duration "10000000000s" overflows`}},
+		{"irq-storm@1ms:0+99999999999999s", []string{`term 1`, `duration "99999999999999s" overflows`}},
 	}
 	for _, c := range cases {
 		_, err := Parse(c.src)

@@ -2,6 +2,7 @@ package nas
 
 import (
 	"math"
+	"slices"
 
 	"github.com/interweaving/komp/internal/exec"
 	"github.com/interweaving/komp/internal/omp"
@@ -17,16 +18,20 @@ type SparseMatrix struct {
 
 // MakeSparse generates a random sparse SPD matrix in the spirit of CG's
 // makea: random off-diagonal pattern with geometric weights plus a
-// dominant shifted diagonal.
+// dominant shifted diagonal. The matrix is a pure function of its
+// arguments: every sum runs in a fixed order.
 func MakeSparse(n, nonzerPerRow int, shift float64) *SparseMatrix {
 	r := NewRand(0)
 	type entry struct {
 		col int
 		val float64
 	}
-	rows := make([]map[int]float64, n)
+	// Each row collects its (col, val) draws in generation order, in a
+	// slice of one shared backing array sized for the expected 2*nz.
+	per := 2 * nonzerPerRow
+	buf, rows := make([]entry, n*per), make([][]entry, n)
 	for i := range rows {
-		rows[i] = map[int]float64{}
+		rows[i] = buf[i*per : i*per : (i+1)*per]
 	}
 	for i := 0; i < n; i++ {
 		for k := 0; k < nonzerPerRow; k++ {
@@ -36,29 +41,36 @@ func MakeSparse(n, nonzerPerRow int, shift float64) *SparseMatrix {
 			}
 			v := r.Next() * math.Pow(0.5, float64(k))
 			// Symmetrize.
-			rows[i][j] += v
-			rows[j][i] += v
+			rows[i] = append(rows[i], entry{j, v})
+			rows[j] = append(rows[j], entry{i, v})
 		}
 	}
 	m := &SparseMatrix{N: n, RowPtr: make([]int, n+1)}
-	for i := 0; i < n; i++ {
-		// Diagonal dominance: diag = shift + row sum.
-		var sum float64
-		for _, v := range rows[i] {
-			sum += math.Abs(v)
-		}
-		rows[i][i] += sum + shift
-		// CSR, columns ascending.
-		cols := make([]entry, 0, len(rows[i]))
-		for c, v := range rows[i] {
-			cols = append(cols, entry{c, v})
-		}
-		for a := 1; a < len(cols); a++ {
-			for b := a; b > 0 && cols[b-1].col > cols[b].col; b-- {
-				cols[b-1], cols[b] = cols[b], cols[b-1]
+	for i, row := range rows {
+		// A zero diagonal entry, last among its column's draws, so the
+		// merge below leaves every row with exactly one.
+		row = append(row, entry{i, 0})
+		// CSR, columns ascending; the sort is stable, so the draws of one
+		// column stay in generation order.
+		slices.SortStableFunc(row, func(a, b entry) int { return a.col - b.col })
+		merged := row[:0]
+		for _, e := range row {
+			if l := len(merged) - 1; l >= 0 && merged[l].col == e.col {
+				merged[l].val += e.val
+			} else {
+				merged = append(merged, e)
 			}
 		}
-		for _, e := range cols {
+		// Diagonal dominance: diag = shift + row sum, summed in column
+		// order.
+		var sum float64
+		for _, e := range merged {
+			sum += math.Abs(e.val)
+		}
+		for _, e := range merged {
+			if e.col == i {
+				e.val += sum + shift
+			}
 			m.Col = append(m.Col, e.col)
 			m.Val = append(m.Val, e.val)
 		}

@@ -3,6 +3,7 @@ package nas
 import (
 	"math"
 	"math/cmplx"
+	"slices"
 	"testing"
 
 	"github.com/interweaving/komp/internal/exec"
@@ -157,6 +158,21 @@ func TestSparseMatrixIsSymmetricCSR(t *testing.T) {
 			if a.Col[k-1] >= a.Col[k] {
 				t.Fatalf("row %d columns not ascending", i)
 			}
+		}
+	}
+}
+
+// TestMakeSparseDeterministic: two builds of the same matrix are equal to
+// the bit, diagonal included (its row sum once ran over a map, in random
+// order).
+func TestMakeSparseDeterministic(t *testing.T) {
+	a, b := MakeSparse(1<<13, 8, 20), MakeSparse(1<<13, 8, 20)
+	if !slices.Equal(a.RowPtr, b.RowPtr) || !slices.Equal(a.Col, b.Col) || len(a.Val) != len(b.Val) {
+		t.Fatal("two builds differ in structure")
+	}
+	for k := range a.Val {
+		if math.Float64bits(a.Val[k]) != math.Float64bits(b.Val[k]) {
+			t.Fatalf("Val[%d] = %x, then %x", k, math.Float64bits(a.Val[k]), math.Float64bits(b.Val[k]))
 		}
 	}
 }

@@ -8,7 +8,8 @@ import (
 )
 
 // Grid3 is a cubic grid of float64 with edge length n (power of two plus
-// ghost-free periodic indexing).
+// ghost-free periodic indexing): V[(i*n+j)*n+k] holds point (i,j,k), and
+// the operators below wrap neighbour indices into [0,n) themselves.
 type Grid3 struct {
 	N int
 	V []float64
@@ -17,15 +18,20 @@ type Grid3 struct {
 // NewGrid3 allocates an n^3 grid.
 func NewGrid3(n int) *Grid3 { return &Grid3{N: n, V: make([]float64, n*n*n)} }
 
-// At returns the value at (i,j,k) with periodic wrapping.
-func (g *Grid3) At(i, j, k int) float64 {
-	n := g.N
-	return g.V[((i+n)%n)*n*n+((j+n)%n)*n+((k+n)%n)]
-}
-
 // Set stores a value at (i,j,k).
 func (g *Grid3) Set(i, j, k int, v float64) {
 	g.V[i*g.N*g.N+j*g.N+k] = v
+}
+
+// wrap maps a neighbour index in [-n, 2n) onto the periodic range [0, n).
+func wrap(x, n int) int {
+	switch {
+	case x < 0:
+		return x + n
+	case x >= n:
+		return x - n
+	}
+	return x
 }
 
 // MGResult is the multigrid benchmark output.
@@ -76,92 +82,118 @@ func vcycle(tc exec.TC, rt *omp.Runtime, u, v *Grid3, threads int) {
 	smooth(tc, rt, u, v, threads)
 }
 
-// stencil coefficients (the S(a) smoother class of MG).
-var smoothC = [4]float64{-3.0 / 8.0, 1.0 / 32.0, -1.0 / 64.0, 0}
+// Stencil coefficients by distance class d = di²+dj²+dk² (0 centre, 1
+// face, 2 edge, 3 corner): the S(a) smoother class of MG, the A operator,
+// and rprj3's full weighting 1/2^d.
+var (
+	smoothC   = [4]float64{-3.0 / 8.0, 1.0 / 32.0, -1.0 / 64.0, 0}
+	residC    = [4]float64{-8.0 / 3.0, 0, 1.0 / 6.0, 1.0 / 12.0}
+	restrictC = [4]float64{1, 1.0 / 2, 1.0 / 4, 1.0 / 8}
+)
 
-// applyStencil27 computes out(i,j,k) = sum of the 27-point stencil of g
-// with distance-class coefficients c[0..3].
-func applyStencil27(g *Grid3, i, j, k int, c [4]float64) float64 {
-	var s float64
+// stencilTerm is one non-zero point of a 27-point stencil: row indexes
+// the (di, dj) neighbour row as (di+1)*3+dj+1, col the column as dk+1.
+type stencilTerm struct {
+	row, col int
+	w        float64
+}
+
+// stencilTerms lists the non-zero points of the distance-class stencil c
+// in di → dj → dk order, which is the order every sum below runs in.
+func stencilTerms(c [4]float64) []stencilTerm {
+	var ts []stencilTerm
 	for di := -1; di <= 1; di++ {
 		for dj := -1; dj <= 1; dj++ {
 			for dk := -1; dk <= 1; dk++ {
-				d := di*di + dj*dj + dk*dk
-				var w float64
-				switch d {
-				case 0:
-					w = c[0]
-				case 1:
-					w = c[1]
-				case 2:
-					w = c[2]
-				default:
-					w = c[3]
-				}
-				if w != 0 {
-					s += w * g.At(i+di, j+dj, k+dk)
+				if w := c[di*di+dj*dj+dk*dk]; w != 0 {
+					ts = append(ts, stencilTerm{(di+1)*3 + dj + 1, dk + 1, w})
 				}
 			}
 		}
 	}
+	return ts
+}
+
+var (
+	smoothTerms   = stencilTerms(smoothC)
+	residTerms    = stencilTerms(residC)
+	restrictTerms = stencilTerms(restrictC)
+	// restrictWSum is the sum of restrict's weights, accumulated in term
+	// order.
+	restrictWSum = func() (s float64) {
+		for _, t := range restrictTerms {
+			s += t.w
+		}
+		return s
+	}()
+)
+
+// neighbourRows fills rows with the flat offsets of the nine periodic
+// neighbour rows (i+di, j+dj) of an n^3 grid.
+func neighbourRows(rows *[9]int, n, i, j int) {
+	for di := -1; di <= 1; di++ {
+		for dj := -1; dj <= 1; dj++ {
+			rows[(di+1)*3+dj+1] = wrap(i+di, n)*n*n + wrap(j+dj, n)*n
+		}
+	}
+}
+
+// stencil sums ts over g at the neighbour rows and columns of one point.
+func stencil(g []float64, rows *[9]int, cols *[3]int, ts []stencilTerm) float64 {
+	var s float64
+	for _, t := range ts {
+		s += t.w * g[rows[t.row]+cols[t.col]]
+	}
 	return s
 }
 
-// residC is the A-operator stencil.
-var residC = [4]float64{-8.0 / 3.0, 0, 1.0 / 6.0, 1.0 / 12.0}
-
-// resid computes r = v - A u (NAS resid).
-func resid(tc exec.TC, rt *omp.Runtime, u, v *Grid3, threads int) *Grid3 {
-	n := u.N
-	r := NewGrid3(n)
+// applyStencil sets out = base + sign·(ts applied to g) at every point
+// of g's grid. sign is ±1, so the product is exact and base ± S rounds
+// once, as written.
+func applyStencil(tc exec.TC, rt *omp.Runtime, out, base, g *Grid3, ts []stencilTerm, sign float64, threads int) {
+	n := g.N
 	rt.Parallel(tc, threads, func(w *omp.Worker) {
 		w.ForEach(0, n, omp.ForOpt{Sched: omp.Static}, func(i int) {
+			var rows [9]int
 			for j := 0; j < n; j++ {
+				neighbourRows(&rows, n, i, j)
+				o := (i*n + j) * n
 				for k := 0; k < n; k++ {
-					r.Set(i, j, k, v.At(i, j, k)-applyStencil27(u, i, j, k, residC))
+					cols := [3]int{wrap(k-1, n), k, wrap(k+1, n)}
+					out.V[o+k] = base.V[o+k] + sign*stencil(g.V, &rows, &cols, ts)
 				}
 			}
 		})
 	})
+}
+
+// resid computes r = v - A u (NAS resid).
+func resid(tc exec.TC, rt *omp.Runtime, u, v *Grid3, threads int) *Grid3 {
+	r := NewGrid3(u.N)
+	applyStencil(tc, rt, r, v, u, residTerms, -1, threads)
 	return r
 }
 
 // smooth applies u += S r with r = v - A u (NAS psinv after resid).
 func smooth(tc exec.TC, rt *omp.Runtime, u, v *Grid3, threads int) {
 	r := resid(tc, rt, u, v, threads)
-	n := u.N
-	rt.Parallel(tc, threads, func(w *omp.Worker) {
-		w.ForEach(0, n, omp.ForOpt{Sched: omp.Static}, func(i int) {
-			for j := 0; j < n; j++ {
-				for k := 0; k < n; k++ {
-					u.Set(i, j, k, u.At(i, j, k)+applyStencil27(r, i, j, k, smoothC))
-				}
-			}
-		})
-	})
+	applyStencil(tc, rt, u, u, r, smoothTerms, 1, threads)
 }
 
-// restrict projects a fine grid onto the half-resolution grid (rprj3).
+// restrict projects a fine grid onto the half-resolution grid (rprj3):
+// full weighting around fine point (2i, 2j, 2k).
 func restrict(tc exec.TC, rt *omp.Runtime, f *Grid3, threads int) *Grid3 {
-	nc := f.N / 2
+	n, nc := f.N, f.N/2
 	c := NewGrid3(nc)
 	rt.Parallel(tc, threads, func(w *omp.Worker) {
 		w.ForEach(0, nc, omp.ForOpt{Sched: omp.Static}, func(i int) {
+			var rows [9]int
 			for j := 0; j < nc; j++ {
+				neighbourRows(&rows, n, 2*i, 2*j)
+				o := (i*nc + j) * nc
 				for k := 0; k < nc; k++ {
-					// Full-weighting restriction.
-					var s float64
-					var wsum float64
-					for di := -1; di <= 1; di++ {
-						for dj := -1; dj <= 1; dj++ {
-							for dk := -1; dk <= 1; dk++ {
-								wgt := 1.0 / float64(int(1)<<uint(abs(di)+abs(dj)+abs(dk)))
-								s += wgt * f.At(2*i+di, 2*j+dj, 2*k+dk)
-								wsum += wgt
-							}
-						}
-					}
-					c.Set(i, j, k, s/wsum)
+					cols := [3]int{wrap(2*k-1, n), 2 * k, wrap(2*k+1, n)}
+					c.V[o+k] = stencil(f.V, &rows, &cols, restrictTerms) / restrictWSum
 				}
 			}
 		})
@@ -170,27 +202,42 @@ func restrict(tc exec.TC, rt *omp.Runtime, f *Grid3, threads int) *Grid3 {
 }
 
 // prolongAdd interpolates the coarse correction onto the fine grid
-// (interp) and adds it to u.
+// (interp) and adds it to u. Weights are products (x·y)·z of the
+// per-axis lerp weights; the (x·y) part and the four coarse rows are
+// fixed per fine row.
 func prolongAdd(tc exec.TC, rt *omp.Runtime, u, c *Grid3, threads int) {
-	n := u.N
+	n, nc := u.N, c.N
 	rt.Parallel(tc, threads, func(w *omp.Worker) {
 		w.ForEach(0, n, omp.ForOpt{Sched: omp.Static}, func(i int) {
+			fi := float64(i) / 2
+			i0 := int(fi)
+			di := fi - float64(i0)
+			var rows [4]int
+			var wxy [4]float64
 			for j := 0; j < n; j++ {
+				fj := float64(j) / 2
+				j0 := int(fj)
+				dj := fj - float64(j0)
+				for a := 0; a <= 1; a++ {
+					for b := 0; b <= 1; b++ {
+						rows[2*a+b] = wrap(i0+a, nc)*nc*nc + wrap(j0+b, nc)*nc
+						wxy[2*a+b] = lerpW(di, a) * lerpW(dj, b)
+					}
+				}
+				o := (i*n + j) * n
 				for k := 0; k < n; k++ {
-					// Trilinear interpolation from the coarse grid.
-					fi, fj, fk := float64(i)/2, float64(j)/2, float64(k)/2
-					i0, j0, k0 := int(fi), int(fj), int(fk)
-					di, dj, dk := fi-float64(i0), fj-float64(j0), fk-float64(k0)
+					fk := float64(k) / 2
+					k0 := int(fk)
+					dk := fk - float64(k0)
+					cols := [2]int{wrap(k0, nc), wrap(k0+1, nc)}
+					wz := [2]float64{lerpW(dk, 0), lerpW(dk, 1)}
 					var s float64
-					for a := 0; a <= 1; a++ {
-						for b := 0; b <= 1; b++ {
-							for cc := 0; cc <= 1; cc++ {
-								wgt := lerpW(di, a) * lerpW(dj, b) * lerpW(dk, cc)
-								s += wgt * c.At(i0+a, j0+b, k0+cc)
-							}
+					for ab, row := range rows {
+						for cc, col := range cols {
+							s += wxy[ab] * wz[cc] * c.V[row+col]
 						}
 					}
-					u.Set(i, j, k, u.At(i, j, k)+s)
+					u.V[o+k] += s
 				}
 			}
 		})
@@ -202,13 +249,6 @@ func lerpW(frac float64, side int) float64 {
 		return 1 - frac
 	}
 	return frac
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // residNorm returns ||v - A u||_2 / n^1.5.

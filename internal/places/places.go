@@ -13,6 +13,7 @@
 package places
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -158,9 +159,18 @@ type Partition struct {
 //	{lo}, {lo:len}, {lo:len:str}   explicit places: interval lists, each
 //	{a,b,c}                        braced item one place
 //
-// An empty spec means "cores" (the subsystem's default granularity).
+// An empty spec means "cores" (the subsystem's default granularity). A
+// malformed spec fails with an error naming it.
 func Parse(spec string, topo Topology) (*Partition, error) {
-	s := strings.TrimSpace(spec)
+	p, err := parse(strings.TrimSpace(spec), topo)
+	if err != nil {
+		return nil, fmt.Errorf("places: %q: %w", spec, err)
+	}
+	return p, nil
+}
+
+// parse and the helpers below return bare reasons; Parse names the spec.
+func parse(s string, topo Topology) (*Partition, error) {
 	if s == "" {
 		s = "cores"
 	}
@@ -170,7 +180,7 @@ func Parse(spec string, topo Topology) (*Partition, error) {
 	if i := strings.IndexByte(name, '('); i >= 0 && strings.HasSuffix(name, ")") {
 		n, err := strconv.Atoi(strings.TrimSpace(name[i+1 : len(name)-1]))
 		if err != nil || n < 1 {
-			return nil, fmt.Errorf("places: bad place count in %q", s)
+			return nil, errors.New("bad place count")
 		}
 		name, count = strings.TrimSpace(name[:i]), n
 	}
@@ -185,7 +195,7 @@ func Parse(spec string, topo Topology) (*Partition, error) {
 		p.groupBy(topo.SocketOf)
 	default:
 		if count >= 0 {
-			return nil, fmt.Errorf("places: unknown abstract place name %q", name)
+			return nil, fmt.Errorf("unknown abstract place name %q", name)
 		}
 		if err := p.parseExplicit(s); err != nil {
 			return nil, err
@@ -195,7 +205,7 @@ func Parse(spec string, topo Topology) (*Partition, error) {
 		p.places = p.places[:count]
 	}
 	if len(p.places) == 0 {
-		return nil, fmt.Errorf("places: %q yields no places", s)
+		return nil, errors.New("no places")
 	}
 	p.index()
 	return p, nil
@@ -273,7 +283,7 @@ func (p *Partition) parseExplicit(s string) error {
 		case '}':
 			depth--
 			if depth < 0 {
-				return fmt.Errorf("places: unbalanced braces in %q", s)
+				return errors.New("unbalanced braces")
 			}
 		case ',':
 			if depth == 0 {
@@ -283,13 +293,13 @@ func (p *Partition) parseExplicit(s string) error {
 		}
 	}
 	if depth != 0 {
-		return fmt.Errorf("places: unbalanced braces in %q", s)
+		return errors.New("unbalanced braces")
 	}
 	items = append(items, s[start:])
 	for _, it := range items {
 		it = strings.TrimSpace(it)
 		if !strings.HasPrefix(it, "{") || !strings.HasSuffix(it, "}") {
-			return fmt.Errorf("places: explicit place %q must be braced", it)
+			return fmt.Errorf("explicit place %q must be braced", it)
 		}
 		cpus, err := p.parsePlace(it[1 : len(it)-1])
 		if err != nil {
@@ -306,20 +316,20 @@ func (p *Partition) parsePlace(body string) ([]int, error) {
 	n := p.topo.NumCPUs()
 	check := func(cpu int) error {
 		if cpu < 0 || cpu >= n {
-			return fmt.Errorf("places: CPU %d out of range [0,%d)", cpu, n)
+			return fmt.Errorf("CPU %d out of range [0,%d)", cpu, n)
 		}
 		return nil
 	}
 	if strings.ContainsRune(body, ':') {
 		parts := strings.Split(body, ":")
 		if len(parts) > 3 {
-			return nil, fmt.Errorf("places: bad interval %q", body)
+			return nil, fmt.Errorf("bad interval %q", body)
 		}
 		nums := make([]int, len(parts))
 		for i, pt := range parts {
 			v, err := strconv.Atoi(strings.TrimSpace(pt))
 			if err != nil {
-				return nil, fmt.Errorf("places: bad interval %q: %v", body, err)
+				return nil, fmt.Errorf("bad interval %q: %v", body, err)
 			}
 			nums[i] = v
 		}
@@ -331,7 +341,7 @@ func (p *Partition) parsePlace(body string) ([]int, error) {
 			stride = nums[2]
 		}
 		if ln < 1 || stride < 1 {
-			return nil, fmt.Errorf("places: bad interval %q: length and stride must be positive", body)
+			return nil, fmt.Errorf("bad interval %q: length and stride must be positive", body)
 		}
 		var cpus []int
 		for i := 0; i < ln; i++ {
@@ -347,7 +357,7 @@ func (p *Partition) parsePlace(body string) ([]int, error) {
 	for _, pt := range strings.Split(body, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(pt))
 		if err != nil {
-			return nil, fmt.Errorf("places: bad CPU list %q: %v", body, err)
+			return nil, fmt.Errorf("bad CPU list %q: %v", body, err)
 		}
 		if err := check(v); err != nil {
 			return nil, err
