@@ -1,8 +1,9 @@
 # Tier-1 verification recipe (see ROADMAP.md). The -race pass covers the
-# packages that run real goroutines under the real execution layer, and
-# the simulator, whose finished coroutines are recycled through a
-# mutex-guarded free list shared by every Sim of the process.
-RACE_PKGS = ./internal/omp/ ./internal/exec/ ./internal/mpi/ ./internal/tenancy/ ./internal/device/ ./internal/sim/
+# packages that run real goroutines under the real execution layer — the
+# root package's public-API tests included — and the simulator, whose
+# finished coroutines are recycled through a mutex-guarded free list
+# shared by every Sim of the process.
+RACE_PKGS = . ./internal/omp/ ./internal/exec/ ./internal/mpi/ ./internal/tenancy/ ./internal/device/ ./internal/sim/
 
 .PHONY: verify build test vet staticcheck race race-stress fuzz-smoke figures bench-smoke bench-diff trace-smoke
 

@@ -20,11 +20,22 @@ func (w *Worker) Critical(name string, fn func()) {
 	w.emitSync(ompt.SyncRelease, ompt.SyncCritical, e.id)
 }
 
+// atomicMu serializes every Atomic update of the process on the host —
+// libomp's __kmp_atomic_lock, the fallback it takes for an update no
+// single instruction performs. Contend prices the simulated cache-line
+// traffic; the mutex is what makes the update atomic on real goroutines.
+var atomicMu sync.Mutex
+
 // Atomic executes fn as an atomic update; updates to the shared location
-// serialize on its cache line across the team.
+// serialize on its cache line across the team. fn must be a plain
+// update: it runs under a process-wide host lock, so it must not call
+// runtime constructs (a simulated thread that blocked or charged time
+// inside it would stall every other thread of the process).
 func (w *Worker) Atomic(fn func()) {
 	c := w.tc.Costs()
 	w.tc.Contend(&w.team.atomicLine, c.AtomicRMWNS+c.CacheLineXferNS)
+	atomicMu.Lock()
+	defer atomicMu.Unlock()
 	fn()
 }
 

@@ -2,23 +2,32 @@ package omp
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"github.com/interweaving/komp/internal/exec"
 	"github.com/interweaving/komp/internal/ompt"
 )
 
-// task is an explicit OpenMP task.
+// task is an explicit OpenMP task. Records are recycled through their
+// owner's free lists (newTask, unref); the fields are laid out so that
+// creating a task and freeing it write only the first cache line of the
+// 128-byte record, which a thief freeing a stolen task hands back to the
+// owner.
 type task struct {
-	fn       func(*Worker)
-	parent   *task
-	children exec.Word
-	waiting  exec.Word // parent is blocked in taskwait
-	team     *Team
-	id       uint64 // spine task id (0 for implicit tasks, and without a spine)
-
+	fn     func(*Worker)
+	parent *task
 	// group is the taskgroup the task belongs to (nil outside any);
 	// inherited from the encountering thread's current group.
 	group *taskgroup
+	next  *task  // free-list link
+	id    uint64 // spine task id (0 for implicit tasks, and without a spine)
+	// refs counts the references that keep the record from being
+	// recycled: the task's own completion, each child that has not
+	// finished touching it, each dependence-tracker slot naming it, and a
+	// predecessor waking it as a held undeferred task.
+	refs     atomic.Int32
+	children exec.Word
+	waiting  exec.Word // parent is blocked in taskwait
 	// final marks a final task: it and every descendant execute
 	// undeferred (included tasks).
 	final bool
@@ -27,14 +36,20 @@ type task struct {
 	// encountering thread waits in waitCount; the releasing predecessor
 	// must wake that waiter instead of queueing the task.
 	undeferred bool
+	// hasDeps marks a task created with a depend clause: only such a task
+	// is ever registered in a depTracker, so only it can gain a successor.
+	hasDeps bool
+
+	// owner is the worker whose free lists the record returns to (nil for
+	// an implicit task, which is never freed), team the owner's team.
+	owner *Worker
+	team  *Team
 
 	// Dependence state. deps is the address → last-accessor map this
 	// task's *children* resolve their depend clauses against; npred is
 	// this task's own count of unfinished predecessors; succs/depDone
-	// (under depMu) are the successors waiting on this task. hasDeps
-	// marks a task created with a depend clause: only such a task is
-	// ever registered in a depTracker, so only it can gain a successor.
-	hasDeps bool
+	// (under depMu) are the successors waiting on this task. deps and the
+	// backing array of succs stay with the record across reuse.
 	deps    *depTracker
 	npred   exec.Word
 	depMu   sync.Mutex
@@ -46,10 +61,62 @@ type task struct {
 // implicit task when outside any explicit task).
 func (w *Worker) currentTask() *task {
 	if w.curTask == nil {
-		// Lazily create the implicit task of this thread.
+		// Lazily create the implicit task of this thread. It is never
+		// freed, so its children take no reference to it.
 		w.curTask = &task{team: w.team}
 	}
 	return w.curTask
+}
+
+// newTask takes a task record from this worker's free list, refilling
+// the list from the remote-free stack, and allocates only when both are
+// empty — libomp's per-thread fast allocator. The record holds one
+// reference, its own completion.
+func (w *Worker) newTask() *task {
+	t := w.freeTasks
+	if t == nil {
+		// The owner takes the whole stack at once and never pops a single
+		// node, so a remote CAS push cannot be fooled by a recycled head
+		// (no ABA).
+		if t = w.remoteFree.Swap(nil); t == nil {
+			t = &task{owner: w, team: w.team}
+		}
+	}
+	w.freeTasks, t.next = t.next, nil
+	t.refs.Store(1)
+	return t
+}
+
+// unref drops one reference to t and, when it was the last, clears what
+// the record points to outside the runtime (the closure above all) and
+// hands it back to its owner: onto the owner's own list when the caller
+// is the owner, onto its remote-free stack otherwise. A reference is
+// only ever taken by a holder of another, so a count of 1 is the
+// caller's alone and cannot grow: the common last release skips the
+// atomic add.
+func (w *Worker) unref(t *task) {
+	if t.refs.Load() != 1 {
+		if n := t.refs.Add(-1); n > 0 {
+			return
+		} else if n < 0 {
+			panic("omp: task record released more often than referenced")
+		}
+	}
+	t.refs.Store(0)
+	t.fn, t.parent, t.group = nil, nil, nil
+	o := t.owner
+	if o == w {
+		t.next = w.freeTasks
+		w.freeTasks = t
+		return
+	}
+	for {
+		head := o.remoteFree.Load()
+		t.next = head
+		if o.remoteFree.CompareAndSwap(head, t) {
+			return
+		}
+	}
 }
 
 // forkChargeNS is the dispatching-side setup cost per forked worker
@@ -109,8 +176,10 @@ func (w *Worker) TaskWith(opt TaskOpt, fn func(*Worker)) {
 	} else {
 		tc.Charge(c.MallocNS + taskCreateNS)
 	}
-	t := &task{fn: fn, parent: parent, team: w.team, final: final,
-		undeferred: undeferred, group: w.curGroup, hasDeps: len(opt.Depend) > 0}
+	t := w.newTask()
+	t.fn, t.parent, t.group = fn, parent, w.curGroup
+	t.final, t.undeferred, t.hasDeps = final, undeferred, len(opt.Depend) > 0
+	t.id = 0
 	if rt := w.team.rt; rt.spine != nil {
 		// The id is read by emitted events only: without a spine, tasks
 		// skip the process-wide counter.
@@ -118,11 +187,15 @@ func (w *Worker) TaskWith(opt TaskOpt, fn func(*Worker)) {
 	}
 	w.emitTask(ompt.TaskCreate, t.id, 0)
 	parent.children.Add(1)
+	if parent.owner != nil {
+		parent.refs.Add(1)
+	}
 	w.team.pending.Add(1)
 	if g := t.group; g != nil {
 		g.count.Add(1)
 	}
 	if t.hasDeps {
+		t.depDone = false // a record's previous life may have set it
 		// Seed one phantom predecessor so the task cannot be released
 		// (by a predecessor finishing mid-registration) before the edge
 		// set is complete.
@@ -268,15 +341,25 @@ func (w *Worker) runTaskBodyCaught(t *task) {
 
 // finishTask propagates completion: dependent successors are released
 // first (so they are findable before any waiter is woken), then the
-// parent, the taskgroup, and the team are notified.
+// parent, the taskgroup, and the team are notified. Last, the task drops
+// its references: the parent's once the wake is delivered, its own once
+// nothing here reads it any more.
 func (w *Worker) finishTask(t *task) {
 	if t.hasDeps {
 		w.releaseDeps(t)
+	}
+	if t.deps != nil {
+		// The body is done, so no child will resolve a clause against the
+		// tracker again.
+		t.deps.reset(w)
 	}
 	if p := t.parent; p != nil {
 		p.children.Add(^uint32(0))
 		if p.waiting.Load() == 1 {
 			w.tc.FutexWake(&p.children, -1)
+		}
+		if p.owner != nil {
+			w.unref(p)
 		}
 	}
 	if g := t.group; g != nil {
@@ -288,6 +371,7 @@ func (w *Worker) finishTask(t *task) {
 	// the victim team's pending count, not its own.
 	t.team.pending.Add(^uint32(0))
 	t.team.rt.TasksRun.Add(1)
+	w.unref(t)
 }
 
 // runOneTask executes one ready task: own deque first (bottom), then

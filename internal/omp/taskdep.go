@@ -53,7 +53,10 @@ func Out(addr any) Dep { return Dep{Mode: DepOut, Addr: addr} }
 func InOut(addr any) Dep { return Dep{Mode: DepInOut, Addr: addr} }
 
 // depEntry is the dependence state of one storage location within one
-// task region: the last writer and the readers that followed it.
+// task region: the last writer and the readers that followed it. Each
+// slot holds a reference to the task it names, so the task's record —
+// depMu and depDone, which addDepEdge reads — outlives its completion
+// until the slot is overwritten or the tracker is reset.
 type depEntry struct {
 	lastOut *task
 	readers []*task
@@ -62,9 +65,12 @@ type depEntry struct {
 // depTracker is a parent task's address → last-accessor map. Only the
 // thread currently executing the parent's body creates that parent's
 // children, so the map needs no lock; the release path never touches
-// it (it walks per-task successor lists instead).
+// it (it walks per-task successor lists instead). free holds the
+// entries of past resets, readers capacity kept, so a tracker that sees
+// the same addresses region after region allocates nothing.
 type depTracker struct {
 	last map[any]*depEntry
+	free []*depEntry
 }
 
 func (dt *depTracker) entry(addr any) *depEntry {
@@ -73,10 +79,41 @@ func (dt *depTracker) entry(addr any) *depEntry {
 	}
 	e := dt.last[addr]
 	if e == nil {
-		e = &depEntry{}
+		if n := len(dt.free); n > 0 {
+			e, dt.free = dt.free[n-1], dt.free[:n-1]
+		} else {
+			e = &depEntry{}
+		}
 		dt.last[addr] = e
 	}
 	return e
+}
+
+// reset empties the tracker once its task's body can create no more
+// children, releasing the references its slots hold. The map keeps its
+// buckets and the entries go to the free list.
+func (dt *depTracker) reset(w *Worker) {
+	if len(dt.last) == 0 {
+		return
+	}
+	for _, e := range dt.last {
+		if e.lastOut != nil {
+			w.unref(e.lastOut)
+			e.lastOut = nil
+		}
+		w.dropReaders(e)
+		dt.free = append(dt.free, e)
+	}
+	clear(dt.last)
+}
+
+// dropReaders releases e's reader slots.
+func (w *Worker) dropReaders(e *depEntry) {
+	for _, r := range e.readers {
+		w.unref(r)
+	}
+	clear(e.readers)
+	e.readers = e.readers[:0]
 }
 
 // registerDeps resolves t's depend clauses against the parent's
@@ -94,14 +131,19 @@ func (w *Worker) registerDeps(t *task, deps []Dep) {
 		switch d.Mode {
 		case DepIn:
 			w.addDepEdge(e.lastOut, t)
+			t.refs.Add(1)
 			e.readers = append(e.readers, t)
 		default: // DepOut, DepInOut
 			w.addDepEdge(e.lastOut, t)
 			for _, r := range e.readers {
 				w.addDepEdge(r, t)
 			}
+			t.refs.Add(1)
+			if prev := e.lastOut; prev != nil {
+				w.unref(prev)
+			}
 			e.lastOut = t
-			e.readers = e.readers[:0]
+			w.dropReaders(e)
 		}
 	}
 }
@@ -129,27 +171,35 @@ func (w *Worker) addDepEdge(pred, succ *task) {
 
 // releaseDeps marks t finished for dependence purposes and releases
 // every successor whose last predecessor t was; released tasks join
-// this worker's deque.
+// this worker's deque. Once depDone is set no edge can be added, so the
+// successor list is read without the lock, and its backing array stays
+// with the record for the next task to reuse.
 func (w *Worker) releaseDeps(t *task) {
 	t.depMu.Lock()
 	t.depDone = true
-	succs := t.succs
-	t.succs = nil
 	t.depMu.Unlock()
-	w.releaseSuccs(succs)
+	w.releaseSuccs(t.succs)
+	clear(t.succs)
+	t.succs = t.succs[:0]
 }
 
 func (w *Worker) releaseSuccs(succs []*task) {
 	for _, s := range succs {
-		if s.npred.Add(^uint32(0)) == 0 {
-			if s.undeferred {
-				// The encountering thread is in waitCount, blocked on
-				// npred or busy helping; it runs the body inline.
-				w.tc.FutexWake(&s.npred, -1)
-			} else {
+		if !s.undeferred {
+			if s.npred.Add(^uint32(0)) == 0 {
 				w.deque.push(w.tc, s)
 				w.wakeThief()
 			}
+			continue
 		}
+		// The encountering thread is in waitCount, blocked on npred or
+		// busy helping; once npred drains it runs the body inline and may
+		// finish the task at once. The reference keeps the record off the
+		// free lists until the wake is delivered.
+		s.refs.Add(1)
+		if s.npred.Add(^uint32(0)) == 0 {
+			w.tc.FutexWake(&s.npred, -1)
+		}
+		w.unref(s)
 	}
 }

@@ -362,15 +362,20 @@ func (t *Team) resetRegionState() {
 }
 
 // enterRegion is a worker's first act in a region, on its own thread:
-// it takes the region id its events are stamped with and restarts its
-// victim rotation cold, as on a fresh team. Both are worker-private and
-// stay out of the master's fork path — a straggler still sweeping for
-// tasks on its way out of region k's join would race a master that
-// wrote them for region k+1.
+// it takes the region id its events are stamped with, restarts its
+// victim rotation cold, as on a fresh team, and empties its implicit
+// task's dependence tracker — dependences order only the tasks of one
+// region, and the implicit task outlives it on a hot team. All of it is
+// worker-private and stays out of the master's fork path — a straggler
+// still sweeping for tasks on its way out of region k's join would race
+// a master that wrote them for region k+1.
 func (w *Worker) enterRegion(region uint64) {
 	w.region = region
 	w.stealRR = 0
 	w.stealCur = [3]int{}
+	if it := w.curTask; it != nil && it.deps != nil {
+		it.deps.reset(w)
+	}
 }
 
 // sleepEpochShift splits the sleepers word: the high half is the region
@@ -618,6 +623,15 @@ type Worker struct {
 	stealOrder []int
 	stealRings []int
 	stealCur   [3]int
+	// freeTasks is this worker's free list of task records (owner only);
+	// remoteFree is the stack other workers push the records they free
+	// onto, taken whole by the owner when freeTasks runs dry. It sits on
+	// a cache line of its own: remote frees must not bounce the line the
+	// owner's task creation writes.
+	freeTasks  *task
+	_          [56]byte
+	remoteFree atomic.Pointer[task]
+	_          [56]byte
 }
 
 // placeRank returns this worker's rank in the team's CPU order (ties by
