@@ -5,7 +5,7 @@
 # shared by every Sim of the process.
 RACE_PKGS = . ./internal/omp/ ./internal/exec/ ./internal/mpi/ ./internal/tenancy/ ./internal/device/ ./internal/sim/
 
-.PHONY: verify build test vet staticcheck race race-stress fuzz-smoke figures bench-smoke bench-diff trace-smoke
+.PHONY: verify build test vet staticcheck race race-stress fuzz-smoke figures bench-smoke bench-diff trace-smoke loc
 
 verify: build vet staticcheck test race
 
@@ -102,3 +102,9 @@ bench-diff:
 trace-smoke:
 	@go test ./internal/trace/ -run TestGoldenChromeTrace -count=1 && \
 		echo "trace-smoke: trace JSON matches golden file"
+
+# loc prints the Go code lines (non-test, non-blank, non-comment) of
+# every package of the root module and their total — the count a change
+# meant to simplify quotes before and after.
+loc:
+	@bash scripts/loc.sh

@@ -36,11 +36,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "cckc: unknown benchmark %q\n", *benchName)
 		os.Exit(2)
 	}
-	var m *machine.Machine
-	if strings.ToUpper(*machineName) == "8XEON" {
-		m = machine.XEON8()
-	} else {
-		m = machine.PHI()
+	m, err := machine.ByName(strings.ToUpper(*machineName))
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "cckc: %v\n", err)
+		os.Exit(2)
 	}
 
 	prog := s.Program(m, *workers, nas.PipeAutoMP)

@@ -33,14 +33,9 @@ func main() {
 	real := flag.Bool("real", false, "run on real goroutines (measure this host) instead of the simulator")
 	flag.Parse()
 
-	var m *machine.Machine
-	switch strings.ToUpper(*machineName) {
-	case "PHI":
-		m = machine.PHI()
-	case "8XEON":
-		m = machine.XEON8()
-	default:
-		fmt.Fprintf(os.Stderr, "epcc: unknown machine %q\n", *machineName)
+	m, err := machine.ByName(strings.ToUpper(*machineName))
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "epcc: %v\n", err)
 		os.Exit(2)
 	}
 	var kind core.Kind
@@ -84,7 +79,7 @@ func main() {
 	cfg.OuterReps = *outer
 
 	var failed error
-	_, err := layer.Run(func(tc exec.TC) {
+	_, err = layer.Run(func(tc exec.TC) {
 		defer rt.Close(tc)
 		for _, s := range suites {
 			rs, err := epcc.Run(tc, rt, s, cfg)

@@ -190,7 +190,7 @@ func sweep(m *machine.Machine, kind core.Kind, s *nas.Spec, scales []int, seed i
 	out := map[int]float64{}
 	for _, n := range scales {
 		env := core.New(core.Config{Machine: m, Kind: kind, Seed: seed, Threads: n,
-			BootImageBytes: bootImageBytes(kind, s)})
+			BootImageBytes: s.WorkingSetBytes})
 		res, err := nas.RunModel(env, s, n)
 		if err != nil {
 			return nil, fmt.Errorf("%s %v@%d: %w", s.Name, kind, n, err)
@@ -198,15 +198,6 @@ func sweep(m *machine.Machine, kind core.Kind, s *nas.Spec, scales []int, seed i
 		out[n] = res.Seconds
 	}
 	return out, nil
-}
-
-// bootImageBytes: RTK and CCK link the benchmark's statics into the boot
-// image (§6.2).
-func bootImageBytes(kind core.Kind, s *nas.Spec) int64 {
-	if kind == core.RTK || kind == core.CCK {
-		return s.WorkingSetBytes
-	}
-	return 0
 }
 
 // relTable renders a normalized-performance table (Linux/env per scale).

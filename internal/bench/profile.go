@@ -39,7 +39,7 @@ func ProfileReport(w io.Writer, opt Options) error {
 		env := core.New(core.Config{Machine: m, Kind: kind, Seed: opt.seed(),
 			Threads: threads, Spine: sp})
 		var err error
-		if kind == core.CCK {
+		if env.AutoMP {
 			err = runProfileCCK(env, threads, reps)
 		} else {
 			err = runProfileOMP(env, threads, reps)

@@ -32,15 +32,34 @@ func (c *Compiled) RunVirgil(tc exec.TC, rt virgil.Runtime, scale CostScale) {
 			r := &cf.Regions[i]
 			switch n := r.Node.(type) {
 			case *Seq:
-				if cost := scale(n.Mem, n.CostNS); cost > 0 {
-					tc.Charge(cost)
-				}
-				if n.Run != nil {
-					n.Run()
-				}
+				runSeq(tc, n, scale)
 			case *Loop:
 				c.runLoopRegion(tc, rt, r, n, scale)
 			}
+		}
+	}
+}
+
+// runSeq charges a sequential region's scaled cost on tc and runs its
+// body inline.
+func runSeq(tc exec.TC, s *Seq, scale CostScale) {
+	if cost := scale(s.Mem, s.CostNS); cost > 0 {
+		tc.Charge(cost)
+	}
+	if s.Run != nil {
+		s.Run()
+	}
+}
+
+// runLoopSerial charges a whole loop's scaled cost on tc and runs every
+// iteration inline.
+func runLoopSerial(tc exec.TC, l *Loop, scale CostScale) {
+	if cost := scale(l.Mem, l.TotalCost()); cost > 0 {
+		tc.Charge(cost)
+	}
+	if l.Body != nil {
+		for i := 0; i < l.N; i++ {
+			l.Body(i)
 		}
 	}
 }
@@ -77,14 +96,7 @@ func (c *Compiled) runLoopRegion(tc exec.TC, rt virgil.Runtime, r *Region, head 
 	}
 	if r.Strategy == StratSequential {
 		for _, l := range loops {
-			if cost := scale(l.Mem, l.TotalCost()); cost > 0 {
-				tc.Charge(cost)
-			}
-			if l.Body != nil {
-				for i := 0; i < l.N; i++ {
-					l.Body(i)
-				}
-			}
+			runLoopSerial(tc, l, scale)
 		}
 		return
 	}
@@ -130,12 +142,7 @@ func RunOpenMP(tc exec.TC, p *Program, rt *omp.Runtime, threads int, scale CostS
 		for _, n := range fn.Body {
 			switch n := n.(type) {
 			case *Seq:
-				if cost := scale(n.Mem, n.CostNS); cost > 0 {
-					tc.Charge(cost)
-				}
-				if n.Run != nil {
-					n.Run()
-				}
+				runSeq(tc, n, scale)
 			case *Loop:
 				runOpenMPLoop(tc, n, rt, threads, scale)
 			}
@@ -147,14 +154,7 @@ func runOpenMPLoop(tc exec.TC, l *Loop, rt *omp.Runtime, threads int, scale Cost
 	if l.Pragma == nil || l.Pragma.Kind != PragmaParallelFor {
 		// No directive: the conventional pipeline has no automatic
 		// parallelization; the loop stays sequential.
-		if cost := scale(l.Mem, l.TotalCost()); cost > 0 {
-			tc.Charge(cost)
-		}
-		if l.Body != nil {
-			for i := 0; i < l.N; i++ {
-				l.Body(i)
-			}
-		}
+		runLoopSerial(tc, l, scale)
 		return
 	}
 	opt := omp.ForOpt{Sched: omp.Static}

@@ -149,22 +149,10 @@ func anyBody(loops []*Loop) bool {
 func runHostRegion(tc exec.TC, r *Region, scale CostScale) {
 	switch n := r.Node.(type) {
 	case *Seq:
-		if cost := scale(n.Mem, n.CostNS); cost > 0 {
-			tc.Charge(cost)
-		}
-		if n.Run != nil {
-			n.Run()
-		}
+		runSeq(tc, n, scale)
 	case *Loop:
 		for _, l := range r.fusedLoops {
-			if cost := scale(l.Mem, l.TotalCost()); cost > 0 {
-				tc.Charge(cost)
-			}
-			if l.Body != nil {
-				for i := 0; i < l.N; i++ {
-					l.Body(i)
-				}
-			}
+			runLoopSerial(tc, l, scale)
 		}
 	}
 }

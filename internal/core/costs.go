@@ -5,8 +5,9 @@ import (
 	"github.com/interweaving/komp/internal/machine"
 )
 
-// kernelCosts builds the primitive cost table for the in-kernel
-// environments. The qualitative relationships come straight from the
+// kernelCosts and pikCosts build the primitive cost tables of the
+// in-kernel environments: kernelCosts for RTK and CCK, which call the
+// kernel's primitives directly, pikCosts for PIK. The qualitative relationships come straight from the
 // paper's evaluation:
 //
 //   - Kernel primitives (thread dispatch, event signaling) avoid the
@@ -26,70 +27,76 @@ import (
 //   - SCHEDULE overheads are atomic chunk-grabbing in user-level code —
 //     the same instructions in every environment — so they stay
 //     comparable (§6.3).
-func kernelCosts(kind Kind, m *machine.Machine) exec.Costs {
-	scale := func(ns float64) int64 { return int64(ns * 2.1 / m.GHz) }
-	scale2 := func(ns float64) int64 {
+func kernelCosts(m *machine.Machine) exec.Costs {
+	scale, scale2, crossSocket := kernelScales(m)
+	return exec.Costs{
+		// Kernel thread creation is "orders of magnitude faster".
+		ThreadSpawnNS: 2_200,
+		ThreadExitNS:  400,
+		ThreadJoinNS:  scale(300),
+
+		// Direct waitqueue operations behind the PTE-heritage
+		// compatibility layering.
+		FutexWaitEntryNS:   scale2(300),
+		FutexWakeEntryNS:   scale2(280),
+		FutexWakeLatencyNS: 900,
+		FutexWakeStaggerNS: scale2(110) * crossSocket,
+
+		AtomicRMWNS:     scale(22),
+		CacheLineXferNS: 45 * crossSocket,
+		YieldNS:         scale(140),
+
+		// The buddy allocator has no thread-local magazine layer
+		// (§6.1's "experiences kernel memory allocation directly").
+		MallocNS: scale2(200),
+		FreeNS:   scale2(140),
+
+		TLSAccessNS:    scale(4),
+		SyscallExtraNS: 0, // there is no syscall boundary at all
+	}
+}
+
+func pikCosts(m *machine.Machine) exec.Costs {
+	scale, _, crossSocket := kernelScales(m)
+	return exec.Costs{
+		// clone(2) through the emulated ABI into the fast kernel
+		// thread path.
+		ThreadSpawnNS: 6_000,
+		ThreadExitNS:  900,
+		ThreadJoinNS:  scale(500),
+
+		// The same NPTL futex code, but the "syscall" stays at the
+		// same privilege level on the same stack (§4.2).
+		FutexWaitEntryNS:   scale(300),
+		FutexWakeEntryNS:   scale(280),
+		FutexWakeLatencyNS: 1_500,
+		FutexWakeStaggerNS: scale(120) * crossSocket,
+
+		AtomicRMWNS:     scale(22),
+		CacheLineXferNS: 45 * crossSocket,
+		YieldNS:         scale(320),
+
+		// glibc malloc emulated over kernel mmap.
+		MallocNS: scale(210),
+		FreeNS:   scale(150),
+
+		TLSAccessNS:    scale(4),
+		SyscallExtraNS: scale(130),
+	}
+}
+
+// kernelScales returns the clock scalings of the kernel cost tables —
+// linear, and quadratic for the dependent-instruction chains — and the
+// cross-socket factor of the kernel wake path.
+func kernelScales(m *machine.Machine) (scale, scale2 func(ns float64) int64, crossSocket int64) {
+	scale = func(ns float64) int64 { return int64(ns * 2.1 / m.GHz) }
+	scale2 = func(ns float64) int64 {
 		f := 2.1 / m.GHz
 		return int64(ns * f * f)
 	}
-	crossSocket := int64(1)
+	crossSocket = 1
 	if m.Sockets > 1 {
 		crossSocket = 2 // the kernel wake path crosses sockets more cheaply than Linux's 3x
 	}
-	switch kind {
-	case RTK, CCK:
-		return exec.Costs{
-			// Kernel thread creation is "orders of magnitude faster".
-			ThreadSpawnNS: 2_200,
-			ThreadExitNS:  400,
-			ThreadJoinNS:  scale(300),
-
-			// Direct waitqueue operations behind the PTE-heritage
-			// compatibility layering.
-			FutexWaitEntryNS:   scale2(300),
-			FutexWakeEntryNS:   scale2(280),
-			FutexWakeLatencyNS: 900,
-			FutexWakeStaggerNS: scale2(110) * crossSocket,
-
-			AtomicRMWNS:     scale(22),
-			CacheLineXferNS: 45 * crossSocket,
-			YieldNS:         scale(140),
-
-			// The buddy allocator has no thread-local magazine layer
-			// (§6.1's "experiences kernel memory allocation directly").
-			MallocNS: scale2(200),
-			FreeNS:   scale2(140),
-
-			TLSAccessNS:    scale(4),
-			SyscallExtraNS: 0, // there is no syscall boundary at all
-		}
-	case PIK:
-		return exec.Costs{
-			// clone(2) through the emulated ABI into the fast kernel
-			// thread path.
-			ThreadSpawnNS: 6_000,
-			ThreadExitNS:  900,
-			ThreadJoinNS:  scale(500),
-
-			// The same NPTL futex code, but the "syscall" stays at the
-			// same privilege level on the same stack (§4.2).
-			FutexWaitEntryNS:   scale(300),
-			FutexWakeEntryNS:   scale(280),
-			FutexWakeLatencyNS: 1_500,
-			FutexWakeStaggerNS: scale(120) * crossSocket,
-
-			AtomicRMWNS:     scale(22),
-			CacheLineXferNS: 45 * crossSocket,
-			YieldNS:         scale(320),
-
-			// glibc malloc emulated over kernel mmap.
-			MallocNS: scale(210),
-			FreeNS:   scale(150),
-
-			TLSAccessNS:    scale(4),
-			SyscallExtraNS: scale(130),
-		}
-	default:
-		panic("core: kernelCosts for non-kernel environment")
-	}
+	return scale, scale2, crossSocket
 }

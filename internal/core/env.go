@@ -54,25 +54,68 @@ const (
 	LinuxAutoMP
 )
 
-func (k Kind) String() string {
-	switch k {
-	case Linux:
-		return "linux-omp"
-	case RTK:
-		return "rtk"
-	case PIK:
-		return "pik"
-	case CCK:
-		return "nk-automp"
-	case LinuxAutoMP:
-		return "linux-automp"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
+// environment is one row of the environment table: the mechanisms an
+// execution environment is assembled from. The paper's §6.2 explains the
+// kernel paths' gains with exactly these: no demand paging and big
+// identity-mapped pages (inKernel), statics in the boot image, lazy FPU,
+// the IST trampoline, the pthread layer and the primitive cost table.
+type environment struct {
+	name     string
+	inKernel bool // a Nautilus kernel beneath, instead of the Linux analogue
+	costs    func(*machine.Machine) exec.Costs
+	// autoMP runs programs through the AutoMP pipeline on VIRGIL rather
+	// than through an OpenMP runtime.
+	autoMP bool
+	// omp: the environment has an OpenMP runtime; rtkPort: it is built
+	// through the §3 port (rtk.NewPort).
+	omp, rtkPort bool
+	// bootImageStatics links large static arrays into the (pre-placed,
+	// identity-mapped) kernel boot image.
+	bootImageStatics bool
+	// nptl forces the runtime onto the NPTL pthread variant.
+	nptl                   bool
+	lazyFPU, istTrampoline bool
+	// buddyPages: PIK binaries see a slightly coarser effective page size
+	// than the 1 GiB identity map — the emulated mmap hands out buddy
+	// blocks, so translations behave like 2 MiB pages (without first
+	// touch, which already uses 2 MiB pages).
+	buddyPages bool
+}
+
+// environments is the table of environments, indexed by Kind: the one
+// place that says which environment has which mechanism.
+var environments = [...]environment{
+	Linux: {name: "linux-omp", costs: linuxsim.Costs, omp: true, nptl: true},
+	RTK: {name: "rtk", inKernel: true, costs: kernelCosts, omp: true, rtkPort: true,
+		// rtk.NewPort sets LazyFPU too, but only once OMPRuntime runs;
+		// kernel work before that already saves FPU state lazily.
+		bootImageStatics: true, lazyFPU: true},
+	PIK: {name: "pik", inKernel: true, costs: pikCosts, omp: true, nptl: true,
+		lazyFPU: true, istTrampoline: true, buddyPages: true},
+	CCK:         {name: "nk-automp", inKernel: true, costs: kernelCosts, autoMP: true, bootImageStatics: true},
+	LinuxAutoMP: {name: "linux-automp", costs: linuxsim.Costs, autoMP: true, omp: true, nptl: true},
+}
+
+// row returns the kind's environment, or nil for an unknown kind.
+func (k Kind) row() *environment {
+	if k < 0 || int(k) >= len(environments) {
+		return nil
 	}
+	return &environments[k]
+}
+
+func (k Kind) String() string {
+	if r := k.row(); r != nil {
+		return r.name
+	}
+	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
 // InKernel reports whether the environment executes in kernel mode.
-func (k Kind) InKernel() bool { return k == RTK || k == PIK || k == CCK }
+func (k Kind) InKernel() bool {
+	r := k.row()
+	return r != nil && r.inKernel
+}
 
 // Config tunes environment construction.
 type Config struct {
@@ -82,8 +125,8 @@ type Config struct {
 	// Threads is the worker count experiments will use (drives the
 	// first-touch decision on 8XEON, §6.3: 24+ cores).
 	Threads int
-	// BootImageBytes models statics linked into the kernel image
-	// (RTK/CCK only).
+	// BootImageBytes models statics linked into the kernel image; the
+	// environments without boot-image statics ignore it.
 	BootImageBytes int64
 	// ForceImmediate forces the kernel environments onto immediate
 	// (allocation-time local) placement regardless of thread count —
@@ -121,8 +164,11 @@ type Env struct {
 	BootImageStatics bool
 	// FirstTouch reports the active NUMA placement policy.
 	FirstTouch bool
+	// AutoMP: programs run through the AutoMP pipeline on VIRGIL, not
+	// through an OpenMP runtime.
+	AutoMP bool
 
-	tlb     memsim.TLBModel
+	row     *environment
 	threads int
 	omp     omp.Options
 	spine   *ompt.Spine
@@ -158,61 +204,50 @@ func New(cfg Config) *Env {
 	if m == nil {
 		panic("core: environment without machine")
 	}
+	row := cfg.Kind.row()
+	if row == nil {
+		panic(fmt.Sprintf("core: unknown environment kind %d", cfg.Kind))
+	}
 	threads := cfg.Threads
 	if threads <= 0 {
 		threads = m.NumCPUs()
 	}
-	e := &Env{Kind: cfg.Kind, Machine: m, tlb: memsim.TLBModel{Machine: m}, threads: threads,
-		omp: cfg.OMP, spine: cfg.Spine}
-
-	switch cfg.Kind {
-	case Linux, LinuxAutoMP:
-		e.Layer = exec.NewSimLayer(linuxsim.NewSimEQ(m, cfg.Seed, cfg.SimEQ), linuxsim.Costs(m))
-		e.AS = linuxsim.NewAddressSpace(m)
-		e.PageSize = 4 << 10
-		e.FirstTouch = true
+	e := &Env{Kind: cfg.Kind, Machine: m, BootImageStatics: row.bootImageStatics, AutoMP: row.autoMP,
+		row: row, threads: threads, omp: cfg.OMP, spine: cfg.Spine}
+	if row.nptl {
 		e.omp.PthreadImpl = pthread.NPTL
+	}
 
-	case RTK, PIK, CCK:
+	if !row.inKernel {
+		e.Layer = exec.NewSimLayer(linuxsim.NewSimEQ(m, cfg.Seed, cfg.SimEQ), row.costs(m))
+		e.AS = linuxsim.NewAddressSpace(m)
+		e.PageSize = linuxsim.PageSize
+		e.FirstTouch = true
+	} else {
 		// The paper's 8XEON extension: first-touch at 2 MiB for 24+
 		// cores; immediate (local) allocation otherwise (§6.3).
 		firstTouch := m.Sockets > 1 && threads >= 24 && !cfg.ForceImmediate
-		boot := cfg.BootImageBytes
-		if cfg.Kind == PIK {
-			boot = 0 // PIK does not link statics into the kernel image
+		var boot int64
+		if row.bootImageStatics {
+			boot = cfg.BootImageBytes
 		}
 		k := nautilus.Boot(nautilus.Config{
 			Machine:        m,
 			Seed:           cfg.Seed,
 			EQ:             cfg.SimEQ,
-			Costs:          kernelCosts(cfg.Kind, m),
+			Costs:          row.costs(m),
 			FirstTouch:     firstTouch,
 			BootImageBytes: boot,
 		})
+		k.LazyFPU, k.ISTTrampoline = row.lazyFPU, row.istTrampoline
 		e.Kernel = k
 		e.Layer = k.Layer
 		e.AS = k.AS
 		e.PageSize = k.AS.PageSize
 		e.FirstTouch = firstTouch
-		e.BootImageStatics = cfg.Kind == RTK || cfg.Kind == CCK
-		switch cfg.Kind {
-		case RTK:
-			// rtk.NewPort sets this too, but only once OMPRuntime runs;
-			// kernel work before that already saves FPU state lazily.
-			k.LazyFPU = true
-		case PIK:
-			e.omp.PthreadImpl = pthread.NPTL
-			k.LazyFPU = true
-			k.ISTTrampoline = true
-			// PIK binaries see a slightly coarser effective page size
-			// than the 1 GiB identity map: the emulated mmap hands out
-			// buddy blocks, so translations behave like 2 MiB pages.
-			if !firstTouch {
-				e.PageSize = 2 << 20
-			}
+		if row.buddyPages && !firstTouch {
+			e.PageSize = 2 << 20
 		}
-	default:
-		panic(fmt.Sprintf("core: unknown environment kind %d", cfg.Kind))
 	}
 	e.Layer.Spine = cfg.Spine
 	return e
@@ -223,13 +258,13 @@ func New(cfg Config) *Env {
 // for CCK"). On RTK the runtime comes out of the §3 port (rtk.NewPort),
 // so kernel environment variables apply on top of Config.OMP.
 func (e *Env) OMPRuntime() *omp.Runtime {
-	if e.Kind == CCK {
-		panic("core: CCK has no OpenMP runtime to instantiate")
+	if !e.row.omp {
+		panic(fmt.Sprintf("core: %v has no OpenMP runtime to instantiate", e.Kind))
 	}
 	opts := e.omp
 	opts.MaxThreads, opts.Bind = e.threads, true
 	opts.Spine, opts.Device = e.spine, e.Device()
-	if e.Kind == RTK {
+	if e.row.rtkPort {
 		// Config.OMP is programmatic; what the port can reject is a
 		// malformed kernel environment variable (Kernel.Setenv).
 		port, err := rtk.NewPort(e.Kernel, rtk.Options{OMP: opts})
@@ -248,9 +283,9 @@ func (e *Env) OMPRuntime() *omp.Runtime {
 }
 
 // Virgil builds the environment's VIRGIL runtime (the AutoMP target):
-// kernel-level on CCK, user-level otherwise.
+// kernel-level in an in-kernel environment (CCK), user-level otherwise.
 func (e *Env) Virgil() virgil.Runtime {
-	if e.Kind == CCK {
+	if e.Kernel != nil {
 		cpus := make([]int, e.threads)
 		for i := range cpus {
 			cpus[i] = i
@@ -272,26 +307,34 @@ func (e *Env) Virgil() virgil.Runtime {
 func (e *Env) Threads() int { return e.threads }
 
 // Multiplier converts a region's memory profile into the environment's
-// effective-cost multiplier: translation overhead at the environment's
-// page size, the static-layout overhead boot-image placement removes,
-// the user-level environment overhead every kernel path removes, and the
-// NUMA penalty for the given remote-access fraction. Per-environment
-// overheads are damped as the memory system saturates (beyond
-// mem.SatThreads, every environment increasingly waits on the same DRAM,
-// compressing the ratios — the high-core-count behaviour of Fig. 9).
+// effective-cost multiplier (see the package-level Multiplier).
 func (e *Env) Multiplier(mem cck.MemProfile, remoteFrac float64) float64 {
-	over := e.tlb.OverheadFraction(mem.WorkingSetBytes, mem.TLBPressure, e.PageSize)
-	if !e.BootImageStatics {
+	return Multiplier(e.Machine, e.Kind, e.PageSize, e.threads, mem, remoteFrac)
+}
+
+// Multiplier converts a region's memory profile into the effective-cost
+// multiplier of environment kind on machine m at the given page size and
+// thread count: translation overhead at the page size, the static-layout
+// overhead boot-image placement removes, the user-level environment
+// overhead every kernel path removes, and the NUMA penalty for the given
+// remote-access fraction. Per-environment overheads are damped as the
+// memory system saturates (beyond mem.SatThreads, every environment
+// increasingly waits on the same DRAM, compressing the ratios — the
+// high-core-count behaviour of Fig. 9). It builds no environment.
+func Multiplier(m *machine.Machine, kind Kind, pageSize int64, threads int, mem cck.MemProfile, remoteFrac float64) float64 {
+	row := kind.row()
+	over := memsim.TLBModel{Machine: m}.OverheadFraction(mem.WorkingSetBytes, mem.TLBPressure, pageSize)
+	if !row.bootImageStatics {
 		over += mem.StaticLayoutFrac
 	}
-	if !e.Kind.InKernel() {
+	if !row.inKernel {
 		over += mem.KernelFrac
 	}
 	if mem.SatThreads > 0 {
-		over /= 1 + float64(e.threads)/mem.SatThreads
+		over /= 1 + float64(threads)/mem.SatThreads
 	}
 	if remoteFrac > 0 && mem.MemBoundFrac > 0 {
-		ratio := e.Machine.RemoteLatencyNS/e.Machine.LocalLatencyNS - 1
+		ratio := m.RemoteLatencyNS/m.LocalLatencyNS - 1
 		over += mem.MemBoundFrac * remoteFrac * ratio
 	}
 	return 1 + over

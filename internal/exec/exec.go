@@ -13,7 +13,11 @@
 //     environment-specific cost table. All figures are regenerated on it.
 package exec
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"github.com/interweaving/komp/internal/ompt"
+)
 
 // Costs is the primitive cost table of an execution environment, in
 // virtual nanoseconds. The tables for Linux, RTK, PIK and CCK differ and
@@ -150,4 +154,22 @@ type Layer interface {
 	// layer until all threads finish. It returns the elapsed time in
 	// nanoseconds.
 	Run(main func(TC)) (int64, error)
+}
+
+// runSpawned runs a spawned thread's fn on child, bracketed by the
+// spine's ThreadBegin/ThreadEnd when either is enabled. Both layers
+// number their threads through tidSeq, in the order they start.
+func runSpawned(sp *ompt.Spine, tidSeq *atomic.Int32, cpu int, child TC, fn func(TC)) {
+	if !sp.Enabled(ompt.ThreadBegin) && !sp.Enabled(ompt.ThreadEnd) {
+		fn(child)
+		return
+	}
+	tid := tidSeq.Add(1) - 1
+	if sp.Enabled(ompt.ThreadBegin) {
+		sp.Emit(ompt.Event{Kind: ompt.ThreadBegin, Thread: tid, CPU: int32(cpu), TimeNS: child.Now(), Obj: uint64(cpu)})
+	}
+	fn(child)
+	if sp.Enabled(ompt.ThreadEnd) {
+		sp.Emit(ompt.Event{Kind: ompt.ThreadEnd, Thread: tid, CPU: int32(cpu), TimeNS: child.Now(), Obj: uint64(cpu)})
+	}
 }

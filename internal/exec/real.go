@@ -253,20 +253,7 @@ func (t *realTC) Spawn(name string, cpu int, fn func(TC)) Handle {
 	go func() {
 		defer l.wg.Done()
 		defer close(h.done)
-		child := &realTC{layer: l, cpu: cpu}
-		sp := l.Spine
-		if sp.Enabled(ompt.ThreadBegin) || sp.Enabled(ompt.ThreadEnd) {
-			tid := l.tidSeq.Add(1) - 1
-			if sp.Enabled(ompt.ThreadBegin) {
-				sp.Emit(ompt.Event{Kind: ompt.ThreadBegin, Thread: tid, CPU: int32(cpu), TimeNS: child.Now(), Obj: uint64(cpu)})
-			}
-			fn(child)
-			if sp.Enabled(ompt.ThreadEnd) {
-				sp.Emit(ompt.Event{Kind: ompt.ThreadEnd, Thread: tid, CPU: int32(cpu), TimeNS: child.Now(), Obj: uint64(cpu)})
-			}
-			return
-		}
-		fn(child)
+		runSpawned(l.Spine, &l.tidSeq, cpu, &realTC{layer: l, cpu: cpu}, fn)
 	}()
 	return h
 }

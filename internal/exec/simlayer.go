@@ -178,19 +178,7 @@ func (t *simTC) Spawn(name string, cpu int, fn func(TC)) Handle {
 	l.Sim.Go(name, cpu, t.proc.Now(), func(p *sim.Proc) {
 		child := &h.tc
 		child.proc = p
-		sp := l.Spine
-		if sp.Enabled(ompt.ThreadBegin) || sp.Enabled(ompt.ThreadEnd) {
-			tid := l.tidSeq.Add(1) - 1
-			if sp.Enabled(ompt.ThreadBegin) {
-				sp.Emit(ompt.Event{Kind: ompt.ThreadBegin, Thread: tid, CPU: int32(cpu), TimeNS: child.Now(), Obj: uint64(cpu)})
-			}
-			fn(child)
-			if sp.Enabled(ompt.ThreadEnd) {
-				sp.Emit(ompt.Event{Kind: ompt.ThreadEnd, Thread: tid, CPU: int32(cpu), TimeNS: child.Now(), Obj: uint64(cpu)})
-			}
-		} else {
-			fn(child)
-		}
+		runSpawned(l.Spine, &l.tidSeq, cpu, child, fn)
 		child.Charge(l.costs.ThreadExitNS)
 		h.done.Store(1)
 		child.FutexWake(&h.done, -1)

@@ -19,6 +19,9 @@ import (
 	"github.com/interweaving/komp/internal/sim"
 )
 
+// PageSize is the demand-paged application page size.
+const PageSize = 4 << 10
+
 // PageFaultNS is the cost of a minor fault: trap, allocate, zero 4 KiB,
 // map, return.
 const PageFaultNS = 2500
@@ -111,7 +114,7 @@ func (n *Noise) Extend(rng *rand.Rand, cpu int, start, d sim.Time) sim.Time {
 // NewAddressSpace returns the demand-paged 4 KiB Linux address space with
 // first-touch NUMA placement (the Linux default).
 func NewAddressSpace(m *machine.Machine) *memsim.AddressSpace {
-	return memsim.NewAddressSpace(m, memsim.Demand, 4<<10, memsim.PlaceFirstTouch, PageFaultNS)
+	return memsim.NewAddressSpace(m, memsim.Demand, PageSize, memsim.PlaceFirstTouch, PageFaultNS)
 }
 
 // NewSim builds the simulator for a Linux run: machine CPUs, Linux noise.

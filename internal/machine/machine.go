@@ -237,6 +237,17 @@ func XEON8() *Machine {
 	return m
 }
 
+// ByName returns a new model of the paper machine whose Name is exactly
+// name: "PHI" or "8XEON".
+func ByName(name string) (*Machine, error) {
+	for _, mk := range []func() *Machine{PHI, XEON8} {
+		if m := mk(); m.Name == name {
+			return m, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown machine %q (want PHI or 8XEON)", name)
+}
+
 // BigIron synthesizes a scaled-out Xeon-class machine with the given
 // socket count and cores per socket — the hypothetical wider topologies
 // (e.g. 16×64 = 1024 cores) the DES core must sustain for the scale

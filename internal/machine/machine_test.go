@@ -51,6 +51,32 @@ func Test8XEONTopology(t *testing.T) {
 	}
 }
 
+func TestByName(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want string // "" when the name must be rejected
+	}{
+		{"PHI", "PHI"},
+		{"8XEON", "8XEON"},
+		{"phi", ""},
+		{"8xeon", ""},
+		{"8XEONS", ""},
+		{"XEON8", ""},
+		{"BIGIRON64", ""},
+		{"", ""},
+	} {
+		m, err := ByName(tc.name)
+		switch {
+		case tc.want == "" && err == nil:
+			t.Errorf("ByName(%q) = %s, want an error", tc.name, m.Name)
+		case tc.want != "" && err != nil:
+			t.Errorf("ByName(%q): %v", tc.name, err)
+		case tc.want != "" && m.Name != tc.want:
+			t.Errorf("ByName(%q) = %s, want %s", tc.name, m.Name, tc.want)
+		}
+	}
+}
+
 func TestBigIronTopology(t *testing.T) {
 	m := BigIron(16, 64)
 	if m.NumCPUs() != 1024 {

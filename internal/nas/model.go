@@ -58,11 +58,10 @@ func (s *Spec) memProfile(m *machine.Machine, threads int) cck.MemProfile {
 // paper's measured t.
 func (s *Spec) baseNS(m *machine.Machine) float64 {
 	p := s.profile(m)
-	ref := core.New(core.Config{Machine: m, Kind: core.Linux, Seed: 1, Threads: 1})
-	mult := ref.Multiplier(s.memProfile(m, 1), 0)
+	mult := core.Multiplier(m, core.Linux, linuxsim.PageSize, 1, s.memProfile(m, 1), 0)
 	// The paper's t includes the one-time demand-paging fault-in, which
 	// the runner charges separately; remove it from the compute base.
-	faultNS := float64(s.WorkingSetBytes) / (4 << 10) * linuxsim.PageFaultNS
+	faultNS := float64(s.WorkingSetBytes) / linuxsim.PageSize * linuxsim.PageFaultNS
 	return (p.TimeSec*1e9 - faultNS) / mult
 }
 
@@ -142,7 +141,7 @@ type RunResult struct {
 // constructed for the same machine and thread count.
 func RunModel(env *core.Env, s *Spec, threads int) (RunResult, error) {
 	pipe := PipeOpenMP
-	if env.Kind == core.CCK || env.Kind == core.LinuxAutoMP {
+	if env.AutoMP {
 		pipe = PipeAutoMP
 	}
 	prog := s.Program(env.Machine, threads, pipe)

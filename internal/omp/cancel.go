@@ -257,18 +257,25 @@ func (t *Team) publishCancel(tc exec.TC, bits uint32) bool {
 					continue
 				}
 				if st.publishCancel(tc, cancelBitParallel) && st.n > 1 {
-					if sp := t.rt.spine; sp.Enabled(ompt.Cancel) {
-						sp.Emit(ompt.Event{Kind: ompt.Cancel, Thread: -1,
-							CPU: int32(tc.CPU()), TimeNS: tc.Now(),
-							Region: st.region, Level: int32(st.level),
-							Tenant: t.rt.opts.Tenant,
-							Arg0:   int64(CancelParallel), Arg1: cancelActivated})
-					}
+					st.emitCancelParallel(tc)
 				}
 			}
 		}
 	}
 	return true
+}
+
+// emitCancelParallel emits the team-level Cancel event of a parallel
+// cancellation activated on tc's behalf without a cancelling worker: a
+// region forked under a cancelled ancestor, an outer cancel reaching an
+// inner team, or a region deadline.
+func (t *Team) emitCancelParallel(tc exec.TC) {
+	if sp := t.rt.spine; sp.Enabled(ompt.Cancel) {
+		sp.Emit(ompt.Event{Kind: ompt.Cancel, Thread: -1, CPU: int32(tc.CPU()),
+			TimeNS: tc.Now(), Region: t.region, Level: int32(t.level),
+			Tenant: t.rt.opts.Tenant,
+			Arg0:   int64(CancelParallel), Arg1: cancelActivated})
+	}
 }
 
 // pollCancel is the cancellation check at a scheduling point. It returns
@@ -418,13 +425,7 @@ func (rt *Runtime) armDeadline(tc exec.TC, t *Team) func() {
 	}
 	return al.Alarm(ns, func(atc exec.TC) {
 		if t.publishCancel(atc, cancelBitParallel) {
-			sp := rt.spine
-			if sp.Enabled(ompt.Cancel) {
-				sp.Emit(ompt.Event{Kind: ompt.Cancel, Thread: -1, CPU: int32(atc.CPU()),
-					TimeNS: atc.Now(), Region: t.region, Level: int32(t.level),
-					Tenant: rt.opts.Tenant,
-					Arg0:   int64(CancelParallel), Arg1: cancelActivated})
-			}
+			t.emitCancelParallel(atc)
 		}
 	})
 }

@@ -245,11 +245,8 @@ func (rt *Runtime) parallel(tc exec.TC, parent *Worker, n int, fn func(*Worker),
 			if team.cancellable && team.ancestorCancelled() {
 				// Forked under an already-cancelled ancestor: cancel this
 				// region up front so it converges straight at its join.
-				if team.publishCancel(tc, cancelBitParallel) && sp.Enabled(ompt.Cancel) {
-					sp.Emit(ompt.Event{Kind: ompt.Cancel, Thread: -1,
-						CPU: int32(tc.CPU()), TimeNS: tc.Now(), Region: region,
-						Level: int32(level), Tenant: rt.opts.Tenant,
-						Arg0: int64(CancelParallel), Arg1: cancelActivated})
+				if team.publishCancel(tc, cancelBitParallel) {
+					team.emitCancelParallel(tc)
 				}
 			}
 		}

@@ -57,68 +57,23 @@ type eventQueue interface {
 
 // --- Binary-heap baseline ---
 
-// heapQueue is the classic binary min-heap, hand-rolled over *eventNode
-// so pushes and pops stay free of the container/heap interface boxing.
-type heapQueue struct {
-	h []*eventNode
-}
-
-func eventLess(a, b *eventNode) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-func (q *heapQueue) push(n *eventNode) {
-	q.h = append(q.h, n)
-	i := len(q.h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !eventLess(q.h[i], q.h[parent]) {
-			break
-		}
-		q.h[i], q.h[parent] = q.h[parent], q.h[i]
-		i = parent
-	}
-}
+// heapQueue is the classic binary min-heap: the wheel's spill level on
+// its own, plus the empty-queue answers the eventQueue contract asks for.
+type heapQueue struct{ spillHeap }
 
 func (q *heapQueue) pop() *eventNode {
-	if len(q.h) == 0 {
+	if q.size() == 0 {
 		return nil
 	}
-	min := q.h[0]
-	last := len(q.h) - 1
-	q.h[0] = q.h[last]
-	q.h[last] = nil
-	q.h = q.h[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(q.h) && eventLess(q.h[l], q.h[small]) {
-			small = l
-		}
-		if r < len(q.h) && eventLess(q.h[r], q.h[small]) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		q.h[i], q.h[small] = q.h[small], q.h[i]
-		i = small
-	}
-	return min
+	return q.spillHeap.pop()
 }
 
 func (q *heapQueue) peekTime() (Time, bool) {
-	if len(q.h) == 0 {
+	if q.size() == 0 {
 		return 0, false
 	}
-	return q.h[0].at, true
+	return q.min().at, true
 }
-
-func (q *heapQueue) size() int { return len(q.h) }
 
 // --- Timer-wheel / spill hybrid ---
 
@@ -310,11 +265,20 @@ func (q *wheelQueue) peekTime() (Time, bool) {
 func (q *wheelQueue) size() int { return q.n }
 
 // spillHeap is the far-future overflow level: a plain binary min-heap
-// over (at, seq). Only events beyond the wheel horizon pay its O(log n);
-// its backing slice is reused across refills, so the steady state
-// allocates nothing.
+// over (at, seq), hand-rolled over *eventNode so pushes and pops stay
+// free of the container/heap interface boxing. Only events beyond the
+// wheel horizon pay its O(log n); its backing slice is reused across
+// refills, so the steady state allocates nothing. Callers check size
+// before min and pop.
 type spillHeap struct {
 	h []*eventNode
+}
+
+func eventLess(a, b *eventNode) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
 }
 
 func (s *spillHeap) size() int       { return len(s.h) }

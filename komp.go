@@ -434,14 +434,11 @@ const (
 
 // NewMachine returns one of the paper's machine models.
 func NewMachine(name string) (*machine.Machine, error) {
-	switch name {
-	case MachinePHI:
-		return machine.PHI(), nil
-	case Machine8XEON:
-		return machine.XEON8(), nil
-	default:
-		return nil, fmt.Errorf("komp: unknown machine %q (want %s or %s)", name, MachinePHI, Machine8XEON)
+	m, err := machine.ByName(name)
+	if err != nil {
+		return nil, fmt.Errorf("komp: %w", err)
 	}
+	return m, nil
 }
 
 // Environment kinds (the paper's execution environments).
