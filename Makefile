@@ -57,31 +57,27 @@ fuzz-smoke:
 figures:
 	go run ./cmd/kompbench -quick
 
-# bench-smoke runs the eleven commands below — the two EPCC figures, the
-# eight ablations in the byte-identity set, and the per-construct
-# profile — twice at -quick scale and diffs the outputs byte-for-byte:
-# stdout must be a pure function of the seed (simulator determinism). Not
-# part of `verify` (it costs a couple
-# of builds) but documented next to it in ROADMAP.md; run it when
-# touching the runtime's synchronization paths or the instrumentation
-# spine.
+# bench-smoke builds kompbench once and runs the two EPCC figures, every
+# ablation (-ablation all, so a new one joins without editing this file)
+# and the per-construct profile twice at -quick scale, then diffs the
+# outputs byte-for-byte: stdout must be a pure function of the seed
+# (simulator determinism). Not part of `verify` but documented next to
+# it in ROADMAP.md; run it when touching the runtime's synchronization
+# paths or the instrumentation spine. The binary and both outputs land
+# in .bench_build/bench-smoke/ (gitignored).
+SMOKE = .bench_build/bench-smoke
+
 bench-smoke:
-	@mkdir -p /tmp/komp-bench-smoke
+	@mkdir -p $(SMOKE)
+	@go build -o $(SMOKE)/kompbench ./cmd/kompbench
 	@for run in 1 2; do \
-		( go run ./cmd/kompbench -quick -figure fig7 && \
-		  go run ./cmd/kompbench -quick -figure fig13 && \
-		  go run ./cmd/kompbench -quick -ablation barrier && \
-		  go run ./cmd/kompbench -quick -ablation tasking && \
-		  go run ./cmd/kompbench -quick -ablation affinity && \
-		  go run ./cmd/kompbench -quick -ablation cancel && \
-		  go run ./cmd/kompbench -quick -ablation simcore && \
-		  go run ./cmd/kompbench -quick -ablation nested && \
-		  go run ./cmd/kompbench -quick -ablation tenancy && \
-		  go run ./cmd/kompbench -quick -ablation offload && \
-		  go run ./cmd/kompbench -quick -profile ) \
-		  > /tmp/komp-bench-smoke/run$$run.txt 2>/dev/null || exit 1; \
+		( $(SMOKE)/kompbench -quick -figure fig7 && \
+		  $(SMOKE)/kompbench -quick -figure fig13 && \
+		  $(SMOKE)/kompbench -quick -ablation all && \
+		  $(SMOKE)/kompbench -quick -profile ) \
+		  > $(SMOKE)/run$$run.txt 2>/dev/null || exit 1; \
 	done
-	@cmp /tmp/komp-bench-smoke/run1.txt /tmp/komp-bench-smoke/run2.txt && \
+	@cmp $(SMOKE)/run1.txt $(SMOKE)/run2.txt && \
 		echo "bench-smoke: two runs byte-identical"
 
 # bench-diff compares every deterministic kompbench artifact — the

@@ -30,6 +30,16 @@ func main() {
 	jsonPath := flag.String("json", "", "write machine-readable per-figure records to this file")
 	flag.Parse()
 
+	// A flag that one of these combinations would ignore is refused.
+	switch {
+	case *figure != "" && *ablation != "":
+		usageError("-figure and -ablation are exclusive; run them one at a time")
+	case *profile && (*figure != "" || *ablation != ""):
+		usageError("-profile runs instead of figures and ablations; drop -figure/-ablation")
+	case *profile && *jsonPath != "":
+		usageError("-profile writes no records; drop -json")
+	}
+
 	opt := bench.Options{Quick: *quick, Seed: *seed}
 	if *benches != "" {
 		opt.Benchmarks = strings.Split(*benches, ",")
@@ -108,4 +118,11 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "[%d records written to %s]\n", len(opt.Recorder.Records), *jsonPath)
 	}
+}
+
+// usageError reports a flag combination kompbench cannot honor and exits
+// with status 2, like an unknown flag.
+func usageError(msg string) {
+	fmt.Fprintf(os.Stderr, "kompbench: %s\n", msg)
+	os.Exit(2)
 }

@@ -11,7 +11,6 @@ import (
 	"github.com/interweaving/komp/internal/machine"
 	"github.com/interweaving/komp/internal/multikernel"
 	"github.com/interweaving/komp/internal/nas"
-	"github.com/interweaving/komp/internal/nautilus"
 	"github.com/interweaving/komp/internal/omp"
 	"github.com/interweaving/komp/internal/pik"
 	"github.com/interweaving/komp/internal/pthread"
@@ -39,14 +38,7 @@ func Ablations() []Figure {
 }
 
 // AblationByID resolves an ablation id.
-func AblationByID(id string) (Figure, bool) {
-	for _, f := range Ablations() {
-		if f.ID == id {
-			return f, true
-		}
-	}
-	return Figure{}, false
-}
+func AblationByID(id string) (Figure, bool) { return lookup(Ablations(), id) }
 
 // AblationFirstTouch quantifies the paper's 8XEON extension (§6.3):
 // "first-touch allocation at 2 MB granularity instead of immediate
@@ -59,11 +51,7 @@ func AblationFirstTouch(w io.Writer, opt Options) error {
 		scales = []int{96}
 	}
 	fmt.Fprintln(w, "Ablation: RTK on 8XEON with first-touch vs immediate allocation (seconds; lower is better)")
-	fmt.Fprintf(w, "%-8s %-12s", "bench", "policy")
-	for _, n := range scales {
-		fmt.Fprintf(w, " %9d", n)
-	}
-	fmt.Fprintln(w)
+	scaleHeader(w, fmt.Sprintf("%-8s %-12s", "bench", "policy"), scales)
 	for _, name := range []string{"MG", "CG", "FT"} {
 		s := nas.SpecByName(name)
 		for _, firstTouch := range []bool{true, false} {
@@ -71,17 +59,15 @@ func AblationFirstTouch(w io.Writer, opt Options) error {
 			if !firstTouch {
 				policy = "immediate"
 			}
-			fmt.Fprintf(w, "%-8s %-12s", name+"-"+s.Class, policy)
-			for _, n := range scales {
+			err := scaleRow(w, fmt.Sprintf("%-8s %-12s", name+"-"+s.Class, policy), scales, func(n int) (float64, error) {
 				env := core.New(core.Config{Machine: m, Kind: core.RTK, Seed: opt.seed(),
 					Threads: n, ForceImmediate: !firstTouch, BootImageBytes: s.WorkingSetBytes})
 				res, err := nas.RunModel(env, s, n)
-				if err != nil {
-					return err
-				}
-				fmt.Fprintf(w, " %9.2f", res.Seconds)
+				return res.Seconds, err
+			})
+			if err != nil {
+				return err
 			}
-			fmt.Fprintln(w)
 		}
 	}
 	fmt.Fprintln(w, "\n(immediate allocation parks every page in the allocating CPU's zone;")
@@ -230,29 +216,9 @@ func AblationChunk(w io.Writer, opt Options) error {
 	fmt.Fprintf(w, "Ablation: AutoMP task latency budget, MG-C model, %d workers on PHI\n", threads)
 	fmt.Fprintf(w, "%-16s %10s %12s\n", "budget", "tasks", "seconds")
 	for _, pt := range points {
-		budget := pt.budget
-		comp, err := cck.Compile(prog, cck.Options{Workers: threads, Fuse: true,
-			TargetChunkNS: budget, MinChunksPerWorker: pt.minPer})
-		if err != nil {
-			return err
-		}
-		tasks := 0
-		for _, cf := range comp.Fns {
-			for _, r := range cf.Regions {
-				tasks += len(r.Chunks)
-			}
-		}
-		env := core.New(core.Config{Machine: m, Kind: core.CCK, Seed: opt.seed(),
-			Threads: threads, BootImageBytes: s.WorkingSetBytes})
-		v := env.Virgil()
-		elapsed, err := env.Layer.Run(func(tc exec.TC) {
-			if ph, ok := tc.(exec.ProcHolder); ok {
-				ph.Proc().SetCPU(-1)
-			}
-			v.Start(tc)
-			comp.RunVirgil(tc, v, env.Scale(0))
-			v.Stop(tc)
-		})
+		elapsed, tasks, err := runAutoMP(
+			core.Config{Machine: m, Seed: opt.seed(), Threads: threads, BootImageBytes: s.WorkingSetBytes},
+			prog, cck.Options{Workers: threads, Fuse: true, TargetChunkNS: pt.budget, MinChunksPerWorker: pt.minPer})
 		if err != nil {
 			return err
 		}
@@ -271,41 +237,22 @@ func AblationPrivatization(w io.Writer, opt Options) error {
 		scales = []int{8}
 	}
 	fmt.Fprintln(w, "Ablation: AutoMP with privatization support (BT-B model on PHI, seconds)")
-	fmt.Fprintf(w, "%-24s", "compiler")
-	for _, n := range scales {
-		fmt.Fprintf(w, " %9d", n)
-	}
-	fmt.Fprintln(w)
+	scaleHeader(w, fmt.Sprintf("%-24s", "compiler"), scales)
 	s := nas.SpecByName("BT")
 	for _, exploit := range []bool{false, true} {
 		label := "paper AutoMP"
 		if exploit {
 			label = "with privatization"
 		}
-		fmt.Fprintf(w, "%-24s", label)
-		for _, n := range scales {
-			prog := s.Program(m, n, nas.PipeAutoMP)
-			comp, err := cck.Compile(prog, cck.Options{Workers: n, Fuse: true, ExploitPrivatization: exploit})
-			if err != nil {
-				return err
-			}
-			env := core.New(core.Config{Machine: m, Kind: core.CCK, Seed: opt.seed(),
-				Threads: n, BootImageBytes: s.WorkingSetBytes})
-			v := env.Virgil()
-			elapsed, err := env.Layer.Run(func(tc exec.TC) {
-				if ph, ok := tc.(exec.ProcHolder); ok {
-					ph.Proc().SetCPU(-1)
-				}
-				v.Start(tc)
-				comp.RunVirgil(tc, v, env.Scale(0))
-				v.Stop(tc)
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(w, " %9.2f", float64(elapsed)/1e9)
+		err := scaleRow(w, fmt.Sprintf("%-24s", label), scales, func(n int) (float64, error) {
+			elapsed, _, err := runAutoMP(
+				core.Config{Machine: m, Seed: opt.seed(), Threads: n, BootImageBytes: s.WorkingSetBytes},
+				s.Program(m, n, nas.PipeAutoMP), cck.Options{Workers: n, Fuse: true, ExploitPrivatization: exploit})
+			return float64(elapsed) / 1e9, err
+		})
+		if err != nil {
+			return err
 		}
-		fmt.Fprintln(w)
 	}
 	return nil
 }
@@ -313,9 +260,7 @@ func AblationPrivatization(w io.Writer, opt Options) error {
 // AblationBarrier measures the per-barrier overhead of the three arrival
 // topologies — flat counter, tree release, hierarchical combining tree —
 // on the RTK kernel cost table across 8XEON scales. The overhead is the
-// marginal cost of one extra barrier round (the slope between a 20- and a
-// 40-round region), which cancels the one-time pool spawn and fork/join,
-// exactly as EPCC's reference-subtracted overhead does. A final line
+// marginal cost of one extra barrier round (marginalUS). A final line
 // shows the payoff of fusing reduction into the arrival tree: one fused
 // Reduce against the two flat barriers the classic algorithm pays.
 func AblationBarrier(w io.Writer, opt Options) error {
@@ -324,54 +269,36 @@ func AblationBarrier(w io.Writer, opt Options) error {
 	if opt.Quick {
 		scales = []int{24, 96}
 	}
-	const baseRounds, moreRounds = 20, 40
 
-	// region runs `rounds` repetitions of body inside one parallel region
-	// under the given barrier topology and returns the elapsed virtual ns.
-	region := func(algo omp.BarrierAlgo, n, rounds int, body func(wk *omp.Worker)) (int64, error) {
-		env := core.New(core.Config{Machine: m, Kind: core.RTK, Seed: opt.seed(),
-			Threads: n, OMP: omp.Options{BarrierAlgo: algo}})
-		rt := env.OMPRuntime()
-		return env.Layer.Run(func(tc exec.TC) {
-			rt.Parallel(tc, n, func(wk *omp.Worker) {
-				for r := 0; r < rounds; r++ {
-					body(wk)
-				}
-			})
-			rt.Close(tc)
-		})
-	}
-	// marginal is the per-round slope in microseconds.
+	// marginal is the per-round cost in microseconds of body inside one
+	// parallel region under the given barrier topology.
 	marginal := func(algo omp.BarrierAlgo, n int, body func(wk *omp.Worker)) (float64, error) {
-		short, err := region(algo, n, baseRounds, body)
-		if err != nil {
-			return 0, err
-		}
-		long, err := region(algo, n, moreRounds, body)
-		if err != nil {
-			return 0, err
-		}
-		return float64(long-short) / float64(moreRounds-baseRounds) / 1000, nil
+		return marginalUS(func(rounds int) (int64, error) {
+			env := core.New(core.Config{Machine: m, Kind: core.RTK, Seed: opt.seed(),
+				Threads: n, OMP: omp.Options{BarrierAlgo: algo}})
+			rt := env.OMPRuntime()
+			return env.Layer.Run(func(tc exec.TC) {
+				rt.Parallel(tc, n, func(wk *omp.Worker) {
+					for r := 0; r < rounds; r++ {
+						body(wk)
+					}
+				})
+				rt.Close(tc)
+			})
+		})
 	}
 	barrier := func(wk *omp.Worker) { wk.Barrier() }
 	reduce := func(wk *omp.Worker) { wk.Reduce(omp.ReduceSum, 1) }
 
 	fmt.Fprintln(w, "Ablation: barrier arrival/release topology, RTK on 8XEON (us/barrier, marginal)")
-	fmt.Fprintf(w, "%-14s", "algorithm")
-	for _, n := range scales {
-		fmt.Fprintf(w, " %9d", n)
-	}
-	fmt.Fprintln(w)
+	scaleHeader(w, fmt.Sprintf("%-14s", "algorithm"), scales)
 	for _, algo := range []omp.BarrierAlgo{omp.BarrierFlat, omp.BarrierTree, omp.BarrierHier} {
-		fmt.Fprintf(w, "%-14s", algo.String())
-		for _, n := range scales {
-			us, err := marginal(algo, n, barrier)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(w, " %9.2f", us)
+		err := scaleRow(w, fmt.Sprintf("%-14s", algo.String()), scales, func(n int) (float64, error) {
+			return marginal(algo, n, barrier)
+		})
+		if err != nil {
+			return err
 		}
-		fmt.Fprintln(w)
 	}
 
 	top := scales[len(scales)-1]
@@ -442,6 +369,5 @@ func AblationBootTime(w io.Writer, opt Options) error {
 	fmt.Fprintf(w, "%-44s %10.2f ms\n", "Linux process creation (same executable)", float64(linuxProcNS)/1e6)
 	fmt.Fprintln(w, "\n(all three are single-digit milliseconds: cycling the specialized")
 	fmt.Fprintln(w, " kernel per job is as cheap as starting a process, §7)")
-	var _ = nautilus.BootCost
 	return nil
 }

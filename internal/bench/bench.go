@@ -6,14 +6,11 @@ package bench
 import (
 	"fmt"
 	"io"
-	"sort"
 
+	"github.com/interweaving/komp/internal/cck"
 	"github.com/interweaving/komp/internal/core"
-	"github.com/interweaving/komp/internal/epcc"
 	"github.com/interweaving/komp/internal/exec"
-	"github.com/interweaving/komp/internal/machine"
-	"github.com/interweaving/komp/internal/nas"
-	"github.com/interweaving/komp/internal/stats"
+	"github.com/interweaving/komp/internal/virgil"
 )
 
 // Options tunes a figure run.
@@ -22,9 +19,8 @@ type Options struct {
 	Seed int64
 	// Quick reduces repetitions and scales for smoke runs.
 	Quick bool
-	// Scales overrides the machine's CPU sweep (nil: paper sweep).
-	Scales []int
-	// Benchmarks restricts the NAS set (nil: all eight).
+	// Benchmarks restricts the NAS set (nil: all eight). Names match
+	// case-insensitively; an unknown name fails every NAS figure.
 	Benchmarks []string
 	// Recorder, when non-nil, collects machine-readable Records from
 	// every figure run (kompbench -json).
@@ -62,8 +58,11 @@ func Figures() []Figure {
 }
 
 // ByID returns a figure by its id.
-func ByID(id string) (Figure, bool) {
-	for _, f := range Figures() {
+func ByID(id string) (Figure, bool) { return lookup(Figures(), id) }
+
+// lookup resolves id in a registry of figures or ablations.
+func lookup(figs []Figure, id string) (Figure, bool) {
+	for _, f := range figs {
 		if f.ID == id {
 			return f, true
 		}
@@ -97,140 +96,70 @@ func Fig6(w io.Writer, _ Options) error {
 	return nil
 }
 
-// --- EPCC figures ---
+// --- The shared experiment shapes ---
 
-func epccConfig(threads int, quick bool) epcc.Config {
-	cfg := epcc.Defaults(threads)
-	if quick {
-		cfg.OuterReps = 3
-	} else {
-		cfg.OuterReps = 7
-	}
-	return cfg
-}
-
-// runEPCC runs all four suites under one environment kind, returning
-// results keyed by suite, plus the per-suite benchmark order.
-func runEPCC(m *machine.Machine, kind core.Kind, threads int, seed int64, quick bool) (map[string]map[string]epcc.Result, map[string][]string, error) {
-	env := core.New(core.Config{Machine: m, Kind: kind, Seed: seed, Threads: threads})
-	rt := env.OMPRuntime()
-	bySuite := map[string]map[string]epcc.Result{}
-	order := map[string][]string{}
-	var runErr error
-	_, err := env.Layer.Run(func(tc exec.TC) {
-		defer rt.Close(tc)
-		for _, suite := range epcc.Suites() {
-			rs, err := epcc.Run(tc, rt, suite, epccConfig(threads, quick))
-			if err != nil {
-				runErr = err
-				return
-			}
-			m := map[string]epcc.Result{}
-			for _, r := range rs {
-				m[r.Name] = r
-				order[suite] = append(order[suite], r.Name)
-			}
-			bySuite[suite] = m
-		}
-	})
-	if err == nil {
-		err = runErr
-	}
-	return bySuite, order, err
-}
-
-// epccTable renders one suite comparison.
-func epccTable(w io.Writer, suite string, names []string, cols []string, data map[string]map[string]epcc.Result) {
-	fmt.Fprintf(w, "\n(%s)\n", suite)
-	fmt.Fprintf(w, "%-26s", "benchmark")
-	for _, c := range cols {
-		fmt.Fprintf(w, " %14s %10s", c+" us", "sd")
+// scaleHeader prints the header of a scale-sweep table: label (already
+// padded to the row labels' width), then one column per core count.
+func scaleHeader(w io.Writer, label string, scales []int) {
+	fmt.Fprint(w, label)
+	for _, n := range scales {
+		fmt.Fprintf(w, " %9d", n)
 	}
 	fmt.Fprintln(w)
-	for _, n := range names {
-		fmt.Fprintf(w, "%-26s", n)
-		for _, c := range cols {
-			r := data[c][n]
-			fmt.Fprintf(w, " %14.3f %10.3f", r.OverheadUS, r.SDUS)
-		}
-		fmt.Fprintln(w)
-	}
 }
 
-// --- NAS sweep helpers ---
-
-func nasScales(m *machine.Machine, opt Options) []int {
-	if len(opt.Scales) > 0 {
-		return opt.Scales
-	}
-	if opt.Quick {
-		if m.Sockets > 1 {
-			return []int{1, 24, 192}
-		}
-		return []int{1, 8, 64}
-	}
-	return m.Scales
-}
-
-func nasSpecs(opt Options) []*nas.Spec {
-	if len(opt.Benchmarks) == 0 {
-		return nas.Specs()
-	}
-	var out []*nas.Spec
-	for _, n := range opt.Benchmarks {
-		if s := nas.SpecByName(n); s != nil {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// sweep runs spec under kind across scales, returning seconds per scale.
-func sweep(m *machine.Machine, kind core.Kind, s *nas.Spec, scales []int, seed int64) (map[int]float64, error) {
-	out := map[int]float64{}
+// scaleRow prints one row of a scale-sweep table: label, then cell(n)
+// for every core count n. It stops at the first failing cell, so a cell
+// that records a Record does so only after it succeeded.
+func scaleRow(w io.Writer, label string, scales []int, cell func(n int) (float64, error)) error {
+	fmt.Fprint(w, label)
 	for _, n := range scales {
-		env := core.New(core.Config{Machine: m, Kind: kind, Seed: seed, Threads: n,
-			BootImageBytes: s.WorkingSetBytes})
-		res, err := nas.RunModel(env, s, n)
+		v, err := cell(n)
 		if err != nil {
-			return nil, fmt.Errorf("%s %v@%d: %w", s.Name, kind, n, err)
+			return err
 		}
-		out[n] = res.Seconds
-	}
-	return out, nil
-}
-
-// relTable renders a normalized-performance table (Linux/env per scale).
-func relTable(w io.Writer, title string, scales []int, specs []*nas.Spec,
-	linux map[string]map[int]float64, envs map[string]map[string]map[int]float64, envOrder []string) {
-	fmt.Fprintln(w, title)
-	fmt.Fprintf(w, "%-8s %-14s %-12s", "bench", "t(Linux,1thr)", "env")
-	for _, n := range scales {
-		fmt.Fprintf(w, " %7d", n)
+		fmt.Fprintf(w, " %9.2f", v)
 	}
 	fmt.Fprintln(w)
-	var all = map[string][]float64{}
-	for _, s := range specs {
-		for _, en := range envOrder {
-			ev, ok := envs[en][s.Name]
-			if !ok {
-				continue
-			}
-			fmt.Fprintf(w, "%-8s %-14.2f %-12s", s.Name+"-"+s.Class, linux[s.Name][1], en)
-			for _, n := range scales {
-				ratio := linux[s.Name][n] / ev[n]
-				fmt.Fprintf(w, " %7.2f", ratio)
-				all[en] = append(all[en], ratio)
-			}
-			fmt.Fprintln(w)
+	return nil
+}
+
+// marginalUS is the per-round slope, in microseconds, between a 20- and
+// a 40-round run of the same region: it cancels the one-time pool spawn
+// and fork/join, exactly as EPCC's reference-subtracted overhead does.
+// run returns the elapsed virtual ns of a region repeating its body
+// rounds times.
+func marginalUS(run func(rounds int) (int64, error)) (float64, error) {
+	const baseRounds, moreRounds = 20, 40
+	short, err := run(baseRounds)
+	if err != nil {
+		return 0, err
+	}
+	long, err := run(moreRounds)
+	if err != nil {
+		return 0, err
+	}
+	return float64(long-short) / float64(moreRounds-baseRounds) / 1000, nil
+}
+
+// runAutoMP compiles prog with o, builds a CCK environment from cfg (its
+// Kind is ignored), and runs the compiled program once on the
+// environment's kernel-level VIRGIL. It returns the elapsed virtual ns
+// and the number of tasks the compiler generated.
+func runAutoMP(cfg core.Config, prog *cck.Program, o cck.Options) (elapsed int64, tasks int, err error) {
+	comp, err := cck.Compile(prog, o)
+	if err != nil {
+		return 0, 0, err
+	}
+	for _, cf := range comp.Fns {
+		for _, r := range cf.Regions {
+			tasks += len(r.Chunks)
 		}
 	}
-	var names []string
-	for en := range all {
-		names = append(names, en)
-	}
-	sort.Strings(names)
-	for _, en := range names {
-		fmt.Fprintf(w, "geomean(%s) across benchmarks and scales: %.2f\n", en, stats.GeoMean(all[en]))
-	}
+	cfg.Kind = core.CCK
+	env := core.New(cfg)
+	elapsed, err = env.Layer.Run(func(tc exec.TC) {
+		env.WithVirgil(tc, func(v virgil.Runtime) { comp.RunVirgil(tc, v, env.Scale(0)) })
+	})
+	return elapsed, tasks, err
 }

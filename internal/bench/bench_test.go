@@ -63,13 +63,82 @@ func TestFig11QuickElidesIS(t *testing.T) {
 
 func TestFig14Quick(t *testing.T) {
 	var b strings.Builder
-	err := Fig14(&b, Options{Quick: true, Scales: []int{1, 48}, Benchmarks: []string{"CG"}})
+	err := Fig14(&b, Options{Quick: true, Benchmarks: []string{"CG"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
 	if !strings.Contains(out, "rtk") || !strings.Contains(out, "pik") {
 		t.Fatalf("fig14 must show both kernel paths:\n%s", out)
+	}
+}
+
+// TestNASSpecsByName: -bench names match trimmed and case-insensitively,
+// and an unknown name fails the figure instead of rendering an empty
+// table.
+func TestNASSpecsByName(t *testing.T) {
+	var b strings.Builder
+	err := Fig9(&b, Options{Quick: true, Benchmarks: []string{"BOGUS"}})
+	if err == nil || !strings.Contains(err.Error(), "BOGUS") || !strings.Contains(err.Error(), "EP") {
+		t.Fatalf("unknown benchmark: err = %v, want one naming BOGUS and the valid names", err)
+	}
+	b.Reset()
+	if err := Fig9(&b, Options{Quick: true, Benchmarks: []string{" ep"}}); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "\nEP-C ") {
+		t.Fatalf("fig9 -bench ep must render the EP-C row:\n%s", b.String())
+	}
+}
+
+// TestCCKRelFiguresQuick runs Figs. 12 and 15 at -quick: IS is elided
+// from rows and records, every (benchmark, environment, scale) cell is
+// recorded in order — per benchmark the Linux OpenMP baseline, then
+// Linux AutoMP, then NK AutoMP — both geomeans print, and the IS note
+// closes the figure.
+func TestCCKRelFiguresQuick(t *testing.T) {
+	envs := []string{"linux-omp", "linux-automp", "nk-automp"}
+	for _, tc := range []struct {
+		id     string
+		scales []int
+	}{{"fig12", []int{1, 8, 64}}, {"fig15", []int{1, 24, 192}}} {
+		f, _ := ByID(tc.id)
+		rec := &Recorder{}
+		var b strings.Builder
+		if err := f.Run(&b, Options{Quick: true, Recorder: rec}); err != nil {
+			t.Fatalf("%s: %v", tc.id, err)
+		}
+		out := b.String()
+		if strings.Contains(out, "IS-C") {
+			t.Errorf("%s: IS row not elided:\n%s", tc.id, out)
+		}
+		var want []string
+		for _, s := range []string{"BT-B", "FT-B", "EP-C", "MG-C", "SP-C", "LU-C", "CG-C"} {
+			for _, env := range envs {
+				for _, n := range tc.scales {
+					want = append(want, fmt.Sprintf("%s %s %d", s, env, n))
+				}
+			}
+		}
+		var got []string
+		for _, r := range rec.Records {
+			if r.Figure != tc.id || r.Seconds <= 0 {
+				t.Errorf("%s: bad record %+v", tc.id, r)
+			}
+			got = append(got, fmt.Sprintf("%s %s %d", r.Construct, r.Env, r.Cores))
+		}
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("%s records:\n%s\nwant:\n%s", tc.id, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
+		for _, env := range envs[1:] {
+			if !strings.Contains(out, "geomean("+env+") across benchmarks and scales: ") {
+				t.Errorf("%s: missing geomean(%s)", tc.id, env)
+			}
+		}
+		lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+		if last := lines[len(lines)-1]; last != isNote {
+			t.Errorf("%s: last line %q, want the IS note", tc.id, last)
+		}
 	}
 }
 

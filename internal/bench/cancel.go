@@ -9,7 +9,6 @@ import (
 	"github.com/interweaving/komp/internal/fault"
 	"github.com/interweaving/komp/internal/machine"
 	"github.com/interweaving/komp/internal/omp"
-	"github.com/interweaving/komp/internal/sim"
 )
 
 // AblationCancel is the cancellation study. Section one measures
@@ -81,26 +80,23 @@ func cancelLatency(w io.Writer, opt Options) error {
 	}
 
 	fmt.Fprintln(w, "Ablation: cancellation propagation latency, RTK on 8XEON (us from Cancel to last observer)")
-	fmt.Fprintf(w, "%-14s", "propagation")
-	for _, n := range scales {
-		fmt.Fprintf(w, " %9d", n)
-	}
-	fmt.Fprintln(w)
+	scaleHeader(w, fmt.Sprintf("%-14s", "propagation"), scales)
 	for _, p := range []struct {
 		label string
 		prop  omp.CancelProp
 	}{{"cancel-flat", omp.CancelPropFlat}, {"cancel-tree", omp.CancelPropTree}} {
-		fmt.Fprintf(w, "%-14s", p.label)
-		for _, n := range scales {
+		err := scaleRow(w, fmt.Sprintf("%-14s", p.label), scales, func(n int) (float64, error) {
 			ns, err := latency(p.prop, n)
 			if err != nil {
-				return err
+				return 0, err
 			}
-			fmt.Fprintf(w, " %9.2f", float64(ns)/1000)
 			opt.Recorder.Add(Record{Figure: "cancel", Construct: p.label,
 				Env: "rtk", Cores: n, CancelLatencyNS: ns})
+			return float64(ns) / 1000, nil
+		})
+		if err != nil {
+			return err
 		}
-		fmt.Fprintln(w)
 	}
 	fmt.Fprintln(w, "\n(flat polling serializes every observer on the one cancel word's cache")
 	fmt.Fprintln(w, " line; tree propagation copies the bits down the barrier arrival tree,")
@@ -118,7 +114,6 @@ func cancelFaultCompose(w io.Writer, opt Options) error {
 	if opt.Quick {
 		iters = 200
 	}
-	const threads = 8
 	const deadlineNS = 800_000 // fires mid-loop at both scales
 	type scenario struct {
 		label, plan string
@@ -131,7 +126,7 @@ func cancelFaultCompose(w io.Writer, opt Options) error {
 		{"deadline+storm", "cpu-offline@400us:5;irq-storm@200us:2+1ms", deadlineNS},
 	}
 
-	fmt.Fprintf(w, "Fault-composed abort: EP-style loop, %d threads, %d chunks of 50us (Resilient + OMP_CANCELLATION on)\n", threads, iters)
+	fmt.Fprintf(w, "Fault-composed abort: EP-style loop, %d threads, %d chunks of 50us (Resilient + OMP_CANCELLATION on)\n", faultThreads, iters)
 	fmt.Fprintf(w, "%-16s %-40s %10s %9s %9s %10s\n", "scenario", "plan", "chunks", "clean", "alive", "time(ms)")
 
 	for i, sc := range scenarios {
@@ -140,46 +135,25 @@ func cancelFaultCompose(w io.Writer, opt Options) error {
 			return err
 		}
 		plan.Seed = opt.seed() + int64(i)
-		s := sim.New(16, opt.seed())
-		layer := exec.NewSimLayer(s, exec.Costs{
-			ThreadSpawnNS: 2000, ThreadJoinNS: 300,
-			FutexWaitEntryNS: 100, FutexWakeEntryNS: 100,
-			FutexWakeLatencyNS: 300, FutexWakeStaggerNS: 30,
-			AtomicRMWNS: 20, CacheLineXferNS: 40, MallocNS: 100,
-		})
-		rt := omp.New(layer, omp.Options{MaxThreads: threads, Bind: true,
-			Resilient: true, Cancellation: true, RegionDeadlineNS: sc.deadline})
-		eng := fault.New(s, plan)
-		eng.Arm(fault.Handlers{CPUOffline: func(cpu int) { rt.OfflineCPU(cpu) }})
-		done := 0
-		marks := make([]int, iters)
-		alive := 0
-		elapsed, err := layer.Run(func(tc exec.TC) {
-			rt.Parallel(tc, threads, func(wk *omp.Worker) {
-				wk.ForEach(0, iters, omp.ForOpt{Sched: omp.Dynamic, Chunk: 2}, func(it int) {
-					wk.TC().Charge(50_000)
-					wk.Atomic(func() { done++; marks[it]++ })
-				})
-				alive = wk.NumAlive()
-			})
-			rt.Close(tc)
-		})
+		marks, alive, _, elapsed, err := epUnderFaults(opt.seed(), plan, iters,
+			omp.Options{Cancellation: true, RegionDeadlineNS: sc.deadline})
 		if err != nil {
 			return err
 		}
+		done := 0
 		clean := "yes"
 		for _, m := range marks {
+			done += m
 			if m > 1 {
 				clean = "NO (chunk ran twice)"
-				break
 			}
 		}
 		cancelled := done < iters
 		chunks := fmt.Sprintf("%d/%d", done, iters)
 		fmt.Fprintf(w, "%-16s %-40s %10s %9s %5d/%-3d %10.2f\n",
-			sc.label, sc.plan, chunks, clean, alive, threads, float64(elapsed)/1e6)
+			sc.label, sc.plan, chunks, clean, alive, faultThreads, float64(elapsed)/1e6)
 		opt.Recorder.Add(Record{Figure: "cancel", Construct: "fault-compose-" + sc.label,
-			Env: "sim", Cores: threads, Seconds: float64(elapsed) / 1e9,
+			Env: "sim", Cores: faultThreads, Seconds: float64(elapsed) / 1e9,
 			Cancelled: cancelled, DeadlineNS: sc.deadline})
 	}
 	fmt.Fprintln(w, "(the deadline alarm publishes the same cancel bit a thread would; the")

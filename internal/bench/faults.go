@@ -115,7 +115,6 @@ func faultsOMP(w io.Writer, opt Options) error {
 	if opt.Quick {
 		iters = 200
 	}
-	const threads = 8
 	type scenario struct {
 		label, plan string
 	}
@@ -129,7 +128,7 @@ func faultsOMP(w io.Writer, opt Options) error {
 		{"lost wakes", "lostwake=0.02"},
 	}
 
-	fmt.Fprintf(w, "Resilience: EP-style OpenMP loop, %d threads, %d chunks of 50us (Resilient ICV on)\n", threads, iters)
+	fmt.Fprintf(w, "Resilience: EP-style OpenMP loop, %d threads, %d chunks of 50us (Resilient ICV on)\n", faultThreads, iters)
 	fmt.Fprintf(w, "%-12s %-40s %-10s %9s %9s %10s %10s\n", "scenario", "plan", "checksum", "alive", "injected", "time(ms)", "overhead")
 
 	var baseNS int64
@@ -139,35 +138,13 @@ func faultsOMP(w io.Writer, opt Options) error {
 			return err
 		}
 		plan.Seed = opt.seed() + int64(i)
-		s := sim.New(16, opt.seed())
-		layer := exec.NewSimLayer(s, exec.Costs{
-			ThreadSpawnNS: 2000, ThreadJoinNS: 300,
-			FutexWaitEntryNS: 100, FutexWakeEntryNS: 100,
-			FutexWakeLatencyNS: 300, FutexWakeStaggerNS: 30,
-			AtomicRMWNS: 20, CacheLineXferNS: 40, MallocNS: 100,
-		})
-		rt := omp.New(layer, omp.Options{MaxThreads: threads, Bind: true, Resilient: true})
-		eng := fault.New(s, plan)
-		eng.Arm(fault.Handlers{CPUOffline: func(cpu int) { rt.OfflineCPU(cpu) }})
-		if plan.LostWakeRate > 0 {
-			// Dropped wakes stall the waiter until its 50us timed recheck
-			// fires; the run completes slower instead of hanging.
-			layer.FaultFutex(eng.LoseWake, 50_000)
-		}
-		done := 0
-		alive := 0
-		elapsed, err := layer.Run(func(tc exec.TC) {
-			rt.Parallel(tc, threads, func(wk *omp.Worker) {
-				wk.ForEach(0, iters, omp.ForOpt{Sched: omp.Dynamic, Chunk: 2}, func(int) {
-					wk.TC().Charge(50_000)
-					wk.Atomic(func() { done++ })
-				})
-				alive = wk.NumAlive()
-			})
-			rt.Close(tc)
-		})
+		marks, alive, injected, elapsed, err := epUnderFaults(opt.seed(), plan, iters, omp.Options{})
 		if err != nil {
 			return err
+		}
+		done := 0
+		for _, m := range marks {
+			done += m
 		}
 		checksum := "ok"
 		if done != iters {
@@ -181,7 +158,7 @@ func faultsOMP(w io.Writer, opt Options) error {
 			overhead = fmt.Sprintf("%+.1f%%", 100*float64(elapsed-baseNS)/float64(baseNS))
 		}
 		fmt.Fprintf(w, "%-12s %-40s %-10s %5d/%-3d %9d %10.2f %10s\n",
-			sc.label, sc.plan, checksum, alive, threads, eng.InjectedTotal(), float64(elapsed)/1e6, overhead)
+			sc.label, sc.plan, checksum, alive, faultThreads, injected, float64(elapsed)/1e6, overhead)
 	}
 	fmt.Fprintln(w, "(static schedules degrade to exactly-once chunk claiming under the")
 	fmt.Fprintln(w, " Resilient ICV; a dying worker completes the barrier its departure")
@@ -251,4 +228,45 @@ func faultsMultikernel(w io.Writer, opt Options) error {
 	fmt.Fprintln(w, " time — plus a rerun from scratch; the storm exhausts the budget and")
 	fmt.Fprintln(w, " fails with a clean error rather than restarting forever)")
 	return nil
+}
+
+// faultThreads is the team width of the EP-style fault scenarios.
+const faultThreads = 8
+
+// epUnderFaults runs the EP-style loop shared by the resilience and
+// cancellation studies under a fault plan: iters dynamic chunks of 50us
+// on a Resilient team of faultThreads over a bare 16-CPU simulator
+// seeded with seed, with plan armed against it and, for a lost-wake
+// plan, the futex timed recheck on. o adds the caller's runtime options.
+// It returns how often each chunk ran, the team's surviving width, the
+// number of faults injected and the elapsed virtual ns.
+func epUnderFaults(seed int64, plan fault.Plan, iters int, o omp.Options) (marks []int, alive int, injected, elapsed int64, err error) {
+	s := sim.New(16, seed)
+	layer := exec.NewSimLayer(s, exec.Costs{
+		ThreadSpawnNS: 2000, ThreadJoinNS: 300,
+		FutexWaitEntryNS: 100, FutexWakeEntryNS: 100,
+		FutexWakeLatencyNS: 300, FutexWakeStaggerNS: 30,
+		AtomicRMWNS: 20, CacheLineXferNS: 40, MallocNS: 100,
+	})
+	o.MaxThreads, o.Bind, o.Resilient = faultThreads, true, true
+	rt := omp.New(layer, o)
+	eng := fault.New(s, plan)
+	eng.Arm(fault.Handlers{CPUOffline: func(cpu int) { rt.OfflineCPU(cpu) }})
+	if plan.LostWakeRate > 0 {
+		// Dropped wakes stall the waiter until its 50us timed recheck
+		// fires; the run completes slower instead of hanging.
+		layer.FaultFutex(eng.LoseWake, 50_000)
+	}
+	marks = make([]int, iters)
+	elapsed, err = layer.Run(func(tc exec.TC) {
+		rt.Parallel(tc, faultThreads, func(wk *omp.Worker) {
+			wk.ForEach(0, iters, omp.ForOpt{Sched: omp.Dynamic, Chunk: 2}, func(it int) {
+				wk.TC().Charge(50_000)
+				wk.Atomic(func() { marks[it]++ })
+			})
+			alive = wk.NumAlive()
+		})
+		rt.Close(tc)
+	})
+	return marks, alive, eng.InjectedTotal(), elapsed, err
 }

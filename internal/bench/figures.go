@@ -3,44 +3,94 @@ package bench
 import (
 	"fmt"
 	"io"
+	"sort"
+	"strings"
 
 	"github.com/interweaving/komp/internal/core"
 	"github.com/interweaving/komp/internal/epcc"
+	"github.com/interweaving/komp/internal/exec"
 	"github.com/interweaving/komp/internal/machine"
 	"github.com/interweaving/komp/internal/nas"
+	"github.com/interweaving/komp/internal/stats"
 )
 
-// epccFigure renders one EPCC comparison figure, recording a Record per
+// The figures render over two per-environment cell runs: runEPCC (all
+// four EPCC suites in one environment) for Figs. 7, 8 and 13, and sweep
+// (one NAS model across the core-count sweep in one environment) for
+// Figs. 9-12, 14 and 15.
+
+// --- EPCC figures ---
+
+func epccConfig(threads int, quick bool) epcc.Config {
+	cfg := epcc.Defaults(threads)
+	if quick {
+		cfg.OuterReps = 3
+	} else {
+		cfg.OuterReps = 7
+	}
+	return cfg
+}
+
+// runEPCC runs all four suites under one environment kind, returning
+// each suite's results in epcc.Suites() order. The benchmark list of a
+// suite depends only on the thread count, so every environment of a
+// figure returns the same names in the same order.
+func runEPCC(m *machine.Machine, kind core.Kind, threads int, seed int64, quick bool) ([][]epcc.Result, error) {
+	env := core.New(core.Config{Machine: m, Kind: kind, Seed: seed, Threads: threads})
+	rt := env.OMPRuntime()
+	var suites [][]epcc.Result
+	var runErr error
+	_, err := env.Layer.Run(func(tc exec.TC) {
+		defer rt.Close(tc)
+		for _, suite := range epcc.Suites() {
+			rs, err := epcc.Run(tc, rt, suite, epccConfig(threads, quick))
+			if err != nil {
+				runErr = err
+				return
+			}
+			suites = append(suites, rs)
+		}
+	})
+	if err == nil {
+		err = runErr
+	}
+	return suites, err
+}
+
+// epccFigure renders one EPCC comparison figure, one table per suite
+// with a column pair per environment, recording a Record per
 // (environment, benchmark) when opt.Recorder is set.
 func epccFigure(w io.Writer, id, title string, m *machine.Machine, kinds []core.Kind, threads int, opt Options) error {
 	fmt.Fprintln(w, title)
-	data := map[string]map[string]map[string]epcc.Result{} // kind -> suite -> name
-	var order map[string][]string
-	var cols []string
-	for _, kind := range kinds {
-		bySuite, ord, err := runEPCC(m, kind, threads, opt.seed(), opt.Quick)
+	data := make([][][]epcc.Result, len(kinds)) // kind -> suite -> benchmark
+	for k, kind := range kinds {
+		suites, err := runEPCC(m, kind, threads, opt.seed(), opt.Quick)
 		if err != nil {
 			return err
 		}
-		data[kind.String()] = bySuite
-		if order == nil {
-			order = ord
-		}
-		cols = append(cols, kind.String())
+		data[k] = suites
 	}
-	for _, suite := range epcc.Suites() {
-		perKind := map[string]map[string]epcc.Result{}
-		for _, c := range cols {
-			perKind[c] = data[c][suite]
+	for si, suite := range epcc.Suites() {
+		fmt.Fprintf(w, "\n(%s)\n", suite)
+		fmt.Fprintf(w, "%-26s", "benchmark")
+		for _, kind := range kinds {
+			fmt.Fprintf(w, " %14s %10s", kind.String()+" us", "sd")
 		}
-		epccTable(w, suite, order[suite], cols, perKind)
-		for _, c := range cols {
-			for _, n := range order[suite] {
-				r := perKind[c][n]
-				rec := Record{Figure: id, Suite: suite, Construct: n, Env: c,
+		fmt.Fprintln(w)
+		for bi, row := range data[0][si] {
+			fmt.Fprintf(w, "%-26s", row.Name)
+			for k := range kinds {
+				r := data[k][si][bi]
+				fmt.Fprintf(w, " %14.3f %10.3f", r.OverheadUS, r.SDUS)
+			}
+			fmt.Fprintln(w)
+		}
+		for k, kind := range kinds {
+			for _, r := range data[k][si] {
+				rec := Record{Figure: id, Suite: suite, Construct: r.Name, Env: kind.String(),
 					Cores: threads, MedianNS: r.OverheadUS * 1000, SDNS: r.SDUS * 1000}
 				if suite == "SCHEDULE" {
-					rec.Construct, rec.Schedule = "for", n
+					rec.Construct, rec.Schedule = "for", r.Name
 				}
 				opt.Recorder.Add(rec)
 			}
@@ -83,47 +133,123 @@ func Fig13(w io.Writer, opt Options) error {
 		machine.XEON8(), []core.Kind{core.Linux, core.RTK, core.PIK}, threads, opt)
 }
 
-// nasRelFigure renders a normalized-performance NAS figure for one or
-// more environments against the Linux baseline, recording absolute
-// Seconds per (environment, benchmark, scale) when opt.Recorder is set.
-func nasRelFigure(w io.Writer, id, title string, m *machine.Machine, kinds []core.Kind, opt Options) error {
-	scales := nasScales(m, opt)
-	specs := nasSpecs(opt)
-	linux := map[string]map[int]float64{}
-	envs := map[string]map[string]map[int]float64{}
-	var envOrder []string
-	for _, kind := range kinds {
-		envs[kind.String()] = map[string]map[int]float64{}
-		envOrder = append(envOrder, kind.String())
+// --- NAS figures ---
+
+// isNote is the caption of every AutoMP figure, which elides IS.
+const isNote = "note: IS elided — AutoMP extracts no parallelism from it (§6.2)"
+
+// nasScales is the figure's core-count sweep on m. Every sweep starts at
+// one thread, the normalized tables' t(Linux,1thr) column.
+func nasScales(m *machine.Machine, opt Options) []int {
+	if opt.Quick {
+		if m.Sockets > 1 {
+			return []int{1, 24, 192}
+		}
+		return []int{1, 8, 64}
 	}
-	record := func(s *nas.Spec, env string, secs map[int]float64) {
-		for _, n := range scales {
-			opt.Recorder.Add(Record{Figure: id, Construct: s.Name + "-" + s.Class,
-				Env: env, Cores: n, Seconds: secs[n]})
+	return m.Scales
+}
+
+// nasSpecs resolves opt.Benchmarks (all eight when empty). Names are
+// matched trimmed and upper-cased; an unknown name is an error listing
+// the valid ones.
+func nasSpecs(opt Options) ([]*nas.Spec, error) {
+	if len(opt.Benchmarks) == 0 {
+		return nas.Specs(), nil
+	}
+	var out []*nas.Spec
+	for _, n := range opt.Benchmarks {
+		s := nas.SpecByName(strings.ToUpper(strings.TrimSpace(n)))
+		if s == nil {
+			var valid []string
+			for _, v := range nas.Specs() {
+				valid = append(valid, v.Name)
+			}
+			return nil, fmt.Errorf("unknown NAS benchmark %q (valid: %s)", n, strings.Join(valid, ", "))
+		}
+		out = append(out, s)
+	}
+	return out, nil
+}
+
+// cckSpecs drops IS from the AutoMP comparisons: AutoMP extracts no
+// parallelism from it (§6.2: "IS, which we elide entirely, is an extreme
+// case").
+func cckSpecs(opt Options) ([]*nas.Spec, error) {
+	specs, err := nasSpecs(opt)
+	var out []*nas.Spec
+	for _, s := range specs {
+		if s.Name != "IS" {
+			out = append(out, s)
 		}
 	}
-	for _, s := range specs {
-		ls, err := sweep(m, core.Linux, s, scales, opt.seed())
+	return out, err
+}
+
+// sweep runs spec s under kind at every scale, recording each run as a
+// Record of figure id, and returns the seconds per scale.
+func sweep(id string, m *machine.Machine, kind core.Kind, s *nas.Spec, scales []int, opt Options) ([]float64, error) {
+	secs := make([]float64, len(scales))
+	for i, n := range scales {
+		env := core.New(core.Config{Machine: m, Kind: kind, Seed: opt.seed(), Threads: n,
+			BootImageBytes: s.WorkingSetBytes})
+		res, err := nas.RunModel(env, s, n)
+		if err != nil {
+			return nil, fmt.Errorf("%s %v@%d: %w", s.Name, kind, n, err)
+		}
+		secs[i] = res.Seconds
+		opt.Recorder.Add(Record{Figure: id, Construct: s.Name + "-" + s.Class,
+			Env: kind.String(), Cores: n, Seconds: res.Seconds})
+	}
+	return secs, nil
+}
+
+// nasRelFigure renders a normalized-performance NAS figure: one row per
+// (benchmark, environment of kinds) giving Linux time / environment time
+// at every scale, then one geomean line per environment, sorted by name.
+// specs selects the benchmarks. Every sweep is recorded, per benchmark
+// the Linux baseline first.
+func nasRelFigure(w io.Writer, id, title string, m *machine.Machine, kinds []core.Kind,
+	specs func(Options) ([]*nas.Spec, error), opt Options) error {
+	ss, err := specs(opt)
+	if err != nil {
+		return err
+	}
+	scales := nasScales(m, opt)
+	fmt.Fprintln(w, title)
+	fmt.Fprintf(w, "%-8s %-14s %-12s", "bench", "t(Linux,1thr)", "env")
+	for _, n := range scales {
+		fmt.Fprintf(w, " %7d", n)
+	}
+	fmt.Fprintln(w)
+	ratios := map[string][]float64{}
+	for _, s := range ss {
+		linux, err := sweep(id, m, core.Linux, s, scales, opt)
 		if err != nil {
 			return err
 		}
-		// Record the paper-calibrated single-thread time for the caption
-		// even when 1 is not in the sweep.
-		if _, ok := ls[1]; !ok {
-			ls[1] = s.Profiles[m.Name].TimeSec
-		}
-		linux[s.Name] = ls
-		record(s, core.Linux.String(), ls)
 		for _, kind := range kinds {
-			es, err := sweep(m, kind, s, scales, opt.seed())
+			secs, err := sweep(id, m, kind, s, scales, opt)
 			if err != nil {
 				return err
 			}
-			envs[kind.String()][s.Name] = es
-			record(s, kind.String(), es)
+			fmt.Fprintf(w, "%-8s %-14.2f %-12s", s.Name+"-"+s.Class, linux[0], kind)
+			for i := range scales {
+				ratio := linux[i] / secs[i]
+				fmt.Fprintf(w, " %7.2f", ratio)
+				ratios[kind.String()] = append(ratios[kind.String()], ratio)
+			}
+			fmt.Fprintln(w)
 		}
 	}
-	relTable(w, title, scales, specs, linux, envs, envOrder)
+	var names []string
+	for en := range ratios {
+		names = append(names, en)
+	}
+	sort.Strings(names)
+	for _, en := range names {
+		fmt.Fprintf(w, "geomean(%s) across benchmarks and scales: %.2f\n", en, stats.GeoMean(ratios[en]))
+	}
 	return nil
 }
 
@@ -131,14 +257,14 @@ func nasRelFigure(w io.Writer, id, title string, m *machine.Machine, kinds []cor
 func Fig9(w io.Writer, opt Options) error {
 	return nasRelFigure(w, "fig9",
 		"Figure 9: RTK performance relative to Linux (NAS on PHI; higher is better; baseline 1.0)",
-		machine.PHI(), []core.Kind{core.RTK}, opt)
+		machine.PHI(), []core.Kind{core.RTK}, nasSpecs, opt)
 }
 
 // Fig10 regenerates Figure 10: NAS, PIK relative to Linux on PHI.
 func Fig10(w io.Writer, opt Options) error {
 	return nasRelFigure(w, "fig10",
 		"Figure 10: PIK performance relative to Linux (NAS on PHI; higher is better; baseline 1.0)",
-		machine.PHI(), []core.Kind{core.PIK}, opt)
+		machine.PHI(), []core.Kind{core.PIK}, nasSpecs, opt)
 }
 
 // Fig14 regenerates Figure 14: NAS, RTK and PIK relative to Linux on
@@ -146,72 +272,42 @@ func Fig10(w io.Writer, opt Options) error {
 func Fig14(w io.Writer, opt Options) error {
 	return nasRelFigure(w, "fig14",
 		"Figure 14: RTK and PIK performance relative to Linux (NAS on 8XEON; higher is better; baseline 1.0)",
-		machine.XEON8(), []core.Kind{core.RTK, core.PIK}, opt)
-}
-
-// cckSpecs drops IS from the AutoMP comparisons: AutoMP extracts no
-// parallelism from it (§6.2: "IS, which we elide entirely, is an extreme
-// case").
-func cckSpecs(opt Options) []*nas.Spec {
-	var out []*nas.Spec
-	for _, s := range nasSpecs(opt) {
-		if s.Name == "IS" {
-			continue
-		}
-		out = append(out, s)
-	}
-	return out
-}
-
-// cckData runs the three CCK-figure configurations.
-func cckData(m *machine.Machine, opt Options) (scales []int, specs []*nas.Spec,
-	data map[string]map[string]map[int]float64, err error) {
-	scales = nasScales(m, opt)
-	specs = cckSpecs(opt)
-	data = map[string]map[string]map[int]float64{}
-	for _, kind := range []core.Kind{core.Linux, core.LinuxAutoMP, core.CCK} {
-		data[kind.String()] = map[string]map[int]float64{}
-		for _, s := range specs {
-			es, err2 := sweep(m, kind, s, scales, opt.seed())
-			if err2 != nil {
-				return nil, nil, nil, err2
-			}
-			data[kind.String()][s.Name] = es
-		}
-	}
-	return scales, specs, data, nil
+		machine.XEON8(), []core.Kind{core.RTK, core.PIK}, nasSpecs, opt)
 }
 
 // Fig11 regenerates Figure 11: CCK absolute times on PHI (Linux OMP,
 // Linux AutoMP, NK AutoMP).
 func Fig11(w io.Writer, opt Options) error {
 	m := machine.PHI()
-	scales, specs, data, err := cckData(m, opt)
+	specs, err := cckSpecs(opt)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintln(w, "Figure 11: CCK absolute performance on PHI (seconds; lower is better)")
-	fmt.Fprintln(w, "note: IS elided — AutoMP extracts no parallelism from it (§6.2)")
-	cols := []string{core.Linux.String(), core.LinuxAutoMP.String(), core.CCK.String()}
-	for _, s := range specs {
-		for _, c := range cols {
-			for _, n := range scales {
-				opt.Recorder.Add(Record{Figure: "fig11", Construct: s.Name + "-" + s.Class,
-					Env: c, Cores: n, Seconds: data[c][s.Name][n]})
+	scales := nasScales(m, opt)
+	kinds := []core.Kind{core.Linux, core.LinuxAutoMP, core.CCK}
+	data := make([][][]float64, len(specs)) // spec -> kind -> scale
+	for i, s := range specs {
+		for _, kind := range kinds {
+			secs, err := sweep("fig11", m, kind, s, scales, opt)
+			if err != nil {
+				return err
 			}
+			data[i] = append(data[i], secs)
 		}
 	}
-	for _, s := range specs {
+	fmt.Fprintln(w, "Figure 11: CCK absolute performance on PHI (seconds; lower is better)")
+	fmt.Fprintln(w, isNote)
+	for i, s := range specs {
 		fmt.Fprintf(w, "\n%s-%s\n", s.Name, s.Class)
 		fmt.Fprintf(w, "%-14s", "config")
 		for _, n := range scales {
 			fmt.Fprintf(w, " %10d", n)
 		}
 		fmt.Fprintln(w)
-		for _, c := range cols {
-			fmt.Fprintf(w, "%-14s", c)
-			for _, n := range scales {
-				fmt.Fprintf(w, " %10.2f", data[c][s.Name][n])
+		for k, kind := range kinds {
+			fmt.Fprintf(w, "%-14s", kind)
+			for _, secs := range data[i][k] {
+				fmt.Fprintf(w, " %10.2f", secs)
 			}
 			fmt.Fprintln(w)
 		}
@@ -242,34 +338,12 @@ func Fig11(w io.Writer, opt Options) error {
 }
 
 // cckRelFigure renders Fig. 12/15: both AutoMP variants normalized to
-// Linux OpenMP.
+// Linux OpenMP, IS elided.
 func cckRelFigure(w io.Writer, id, title string, m *machine.Machine, opt Options) error {
-	scales, specs, data, err := cckData(m, opt)
-	if err != nil {
+	if err := nasRelFigure(w, id, title, m, []core.Kind{core.LinuxAutoMP, core.CCK}, cckSpecs, opt); err != nil {
 		return err
 	}
-	for _, s := range specs {
-		for _, env := range []string{core.Linux.String(), core.LinuxAutoMP.String(), core.CCK.String()} {
-			for _, n := range scales {
-				opt.Recorder.Add(Record{Figure: id, Construct: s.Name + "-" + s.Class,
-					Env: env, Cores: n, Seconds: data[env][s.Name][n]})
-			}
-		}
-	}
-	linux := map[string]map[int]float64{}
-	for _, s := range specs {
-		linux[s.Name] = data[core.Linux.String()][s.Name]
-		if _, ok := linux[s.Name][1]; !ok {
-			linux[s.Name][1] = s.Profiles[m.Name].TimeSec
-		}
-	}
-	envs := map[string]map[string]map[int]float64{
-		core.LinuxAutoMP.String(): data[core.LinuxAutoMP.String()],
-		core.CCK.String():         data[core.CCK.String()],
-	}
-	relTable(w, title, scales, specs, linux, envs,
-		[]string{core.LinuxAutoMP.String(), core.CCK.String()})
-	fmt.Fprintln(w, "note: IS elided — AutoMP extracts no parallelism from it (§6.2)")
+	fmt.Fprintln(w, isNote)
 	return nil
 }
 

@@ -47,7 +47,6 @@ import (
 func AblationNested(w io.Writer, opt Options) error {
 	m := machine.XEON8()
 	scales := []int{24, 48, 96, 192}
-	const baseRounds, moreRounds = 20, 40
 	sweeps, cells := 4, 256
 	if opt.Quick {
 		scales = []int{24, 192} // keep the acceptance scale in quick runs
@@ -55,64 +54,52 @@ func AblationNested(w io.Writer, opt Options) error {
 	}
 	const outer = 8 // outer team width of the fork/join section
 
-	// region runs `rounds` back-to-back inner parallel regions on each
-	// worker of an 8-wide outer team and returns the elapsed virtual ns.
-	// Inner teams of n/8 make the leases exactly cover the pool.
-	region := func(policy omp.NestedPoolPolicy, n, rounds int) (int64, error) {
+	// innerFork is the marginal cost in microseconds of one inner
+	// parallel region forked back-to-back on each worker of an 8-wide
+	// outer team (8 inner regions run concurrently per round; this is the
+	// per-worker cost). Inner teams of n/8 make the leases exactly cover
+	// the pool.
+	innerFork := func(policy omp.NestedPoolPolicy, n int) (float64, error) {
 		inner := n / outer
-		env := core.New(core.Config{Machine: m, Kind: core.RTK, Seed: opt.seed(),
-			Threads: n, OMP: omp.Options{
-				MaxActiveLevels: 2, NumThreadsList: []int{outer, inner},
-				NestedPool: policy, PlacesSpec: "sockets", ProcBind: places.BindSpread,
-				ProcBindList: []places.Bind{places.BindSpread, places.BindClose}}})
-		rt := env.OMPRuntime()
-		return env.Layer.Run(func(tc exec.TC) {
-			rt.Parallel(tc, outer, func(ow *omp.Worker) {
-				for r := 0; r < rounds; r++ {
-					ow.Parallel(inner, func(iw *omp.Worker) {
-						iw.TC().Charge(100)
-					})
-				}
+		return marginalUS(func(rounds int) (int64, error) {
+			env := core.New(core.Config{Machine: m, Kind: core.RTK, Seed: opt.seed(),
+				Threads: n, OMP: omp.Options{
+					MaxActiveLevels: 2, NumThreadsList: []int{outer, inner},
+					NestedPool: policy, PlacesSpec: "sockets", ProcBind: places.BindSpread,
+					ProcBindList: []places.Bind{places.BindSpread, places.BindClose}}})
+			rt := env.OMPRuntime()
+			return env.Layer.Run(func(tc exec.TC) {
+				rt.Parallel(tc, outer, func(ow *omp.Worker) {
+					for r := 0; r < rounds; r++ {
+						ow.Parallel(inner, func(iw *omp.Worker) {
+							iw.TC().Charge(100)
+						})
+					}
+				})
+				rt.Close(tc)
 			})
-			rt.Close(tc)
 		})
-	}
-	// marginal is the per-inner-region slope in microseconds (8 inner
-	// regions run concurrently per round; this is the per-worker cost).
-	marginal := func(policy omp.NestedPoolPolicy, n int) (float64, error) {
-		short, err := region(policy, n, baseRounds)
-		if err != nil {
-			return 0, err
-		}
-		long, err := region(policy, n, moreRounds)
-		if err != nil {
-			return 0, err
-		}
-		return float64(long-short) / float64(moreRounds-baseRounds) / 1000, nil
 	}
 
 	fmt.Fprintln(w, "Ablation: nested parallelism, RTK on 8XEON")
 	fmt.Fprintf(w, "Inner fork/join from an %d-wide outer team (us/inner region, marginal)\n", outer)
-	fmt.Fprintf(w, "%-14s", "lease policy")
-	for _, n := range scales {
-		fmt.Fprintf(w, " %9d", n)
-	}
-	fmt.Fprintln(w)
+	scaleHeader(w, fmt.Sprintf("%-14s", "lease policy"), scales)
 	for _, policy := range []omp.NestedPoolPolicy{omp.NestedPoolHold, omp.NestedPoolReturn} {
-		fmt.Fprintf(w, "%-14s", policy.String())
-		for _, n := range scales {
-			us, err := marginal(policy, n)
+		err := scaleRow(w, fmt.Sprintf("%-14s", policy.String()), scales, func(n int) (float64, error) {
+			us, err := innerFork(policy, n)
 			if err != nil {
-				return err
+				return 0, err
 			}
-			fmt.Fprintf(w, " %9.2f", us)
 			opt.Recorder.Add(Record{
 				Figure: "nested", Construct: "INNER-FORK", Env: "rtk", Cores: n,
 				MedianNS: us * 1000, NestedPool: policy.String(),
 				MaxActiveLevels: 2, OuterTeam: outer, InnerTeam: n / outer,
 			})
+			return us, nil
+		})
+		if err != nil {
+			return err
 		}
-		fmt.Fprintln(w)
 	}
 
 	// The plane-sweep kernel. maxLevels=1 is the serialized baseline:
@@ -151,24 +138,18 @@ func AblationNested(w io.Writer, opt Options) error {
 	}
 
 	fmt.Fprintf(w, "\nTwo-level plane sweep: %d planes x %d cells, %d sweeps (virtual ms)\n", planes, cells, sweeps)
-	fmt.Fprintf(w, "%-14s", "inner regions")
-	for _, n := range scales {
-		fmt.Fprintf(w, " %9d", n)
-	}
-	fmt.Fprintln(w)
+	scaleHeader(w, fmt.Sprintf("%-14s", "inner regions"), scales)
 	var serialTop, nestedTop int64
 	for _, maxLevels := range []int{1, 2} {
 		label := "serialized"
 		if maxLevels == 2 {
 			label = "nested"
 		}
-		fmt.Fprintf(w, "%-14s", label)
-		for _, n := range scales {
+		err := scaleRow(w, fmt.Sprintf("%-14s", label), scales, func(n int) (float64, error) {
 			elapsed, err := kernel(n, maxLevels)
 			if err != nil {
-				return err
+				return 0, err
 			}
-			fmt.Fprintf(w, " %9.2f", float64(elapsed)/1e6)
 			opt.Recorder.Add(Record{
 				Figure: "nested", Construct: "PLANE-SWEEP", Env: "rtk", Cores: n,
 				Seconds: float64(elapsed) / 1e9, MaxActiveLevels: maxLevels,
@@ -181,8 +162,11 @@ func AblationNested(w io.Writer, opt Options) error {
 					nestedTop = elapsed
 				}
 			}
+			return float64(elapsed) / 1e6, nil
+		})
+		if err != nil {
+			return err
 		}
-		fmt.Fprintln(w)
 	}
 	fmt.Fprintln(w, "\n(the sweep exposes only 8-way outer parallelism: serialized inner")
 	fmt.Fprintln(w, " regions strand every core past the 8th, while nesting leases them")

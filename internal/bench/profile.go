@@ -11,6 +11,7 @@ import (
 	"github.com/interweaving/komp/internal/machine"
 	"github.com/interweaving/komp/internal/omp"
 	"github.com/interweaving/komp/internal/ompt"
+	"github.com/interweaving/komp/internal/virgil"
 )
 
 // profileEnvs is the fixed environment order of the profile report.
@@ -131,15 +132,11 @@ func runProfileCCK(env *core.Env, threads, reps int) error {
 	}
 	compiled.Spine = env.Spine()
 	_, err = env.Layer.Run(func(tc exec.TC) {
-		if ph, ok := tc.(exec.ProcHolder); ok {
-			ph.Proc().SetCPU(-1)
-		}
-		v := env.Virgil()
-		v.Start(tc)
-		for r := 0; r < reps; r++ {
-			compiled.RunVirgil(tc, v, env.Scale(0))
-		}
-		v.Stop(tc)
+		env.WithVirgil(tc, func(v virgil.Runtime) {
+			for r := 0; r < reps; r++ {
+				compiled.RunVirgil(tc, v, env.Scale(0))
+			}
+		})
 	})
 	return err
 }

@@ -127,11 +127,7 @@ func AblationTasking(w io.Writer, opt Options) error {
 	fmt.Fprintf(w, "(half the team produces %d tasks x %d ns each, the other half steals;\n", 2*tasksPerCore, taskNS)
 	fmt.Fprintln(w, " tasks/ms — higher is better)")
 	fmt.Fprintln(w)
-	fmt.Fprintf(w, "%-10s %-7s %-7s", "deque", "fanout", "cutoff")
-	for _, n := range scales {
-		fmt.Fprintf(w, " %9d", n)
-	}
-	fmt.Fprintln(w)
+	scaleHeader(w, fmt.Sprintf("%-10s %-7s %-7s", "deque", "fanout", "cutoff"), scales)
 
 	// best tracks each algorithm's default-config throughput at the top
 	// scale for the summary comparison line.
@@ -238,28 +234,6 @@ func taskFloodCCK(m *machine.Machine, threads, tasksPerCore int, taskNS int64, s
 			},
 		},
 	}}}
-	comp, err := cck.Compile(prog, cck.Options{Workers: threads, TargetChunkNS: taskNS})
-	if err != nil {
-		return 0, 0, err
-	}
-	tasks := 0
-	for _, cf := range comp.Fns {
-		for _, r := range cf.Regions {
-			tasks += len(r.Chunks)
-		}
-	}
-	env := core.New(core.Config{Machine: m, Kind: core.CCK, Seed: seed, Threads: threads})
-	v := env.Virgil()
-	elapsed, err := env.Layer.Run(func(tc exec.TC) {
-		if ph, ok := tc.(exec.ProcHolder); ok {
-			ph.Proc().SetCPU(-1)
-		}
-		v.Start(tc)
-		comp.RunVirgil(tc, v, env.Scale(0))
-		v.Stop(tc)
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	return elapsed, tasks, nil
+	return runAutoMP(core.Config{Machine: m, Seed: seed, Threads: threads},
+		prog, cck.Options{Workers: threads, TargetChunkNS: taskNS})
 }

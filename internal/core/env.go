@@ -303,6 +303,23 @@ func (e *Env) Virgil() virgil.Runtime {
 	return v
 }
 
+// WithVirgil runs body against a started VIRGIL runtime of the
+// environment on tc, the orchestrating thread, and stops the runtime
+// when body returns. The orchestrating thread only submits and waits; in
+// a real kernel its microsecond-scale operations preempt and interleave
+// with the worker occupying its CPU. WithVirgil unbinds it first so the
+// non-preemptive simulated CPU does not serialize worker wakeups behind
+// multi-millisecond task bodies.
+func (e *Env) WithVirgil(tc exec.TC, body func(virgil.Runtime)) {
+	if ph, ok := tc.(exec.ProcHolder); ok {
+		ph.Proc().SetCPU(-1)
+	}
+	v := e.Virgil()
+	v.Start(tc)
+	body(v)
+	v.Stop(tc)
+}
+
 // Threads returns the environment's configured worker count.
 func (e *Env) Threads() int { return e.threads }
 

@@ -8,6 +8,7 @@ import (
 	"github.com/interweaving/komp/internal/exec"
 	"github.com/interweaving/komp/internal/linuxsim"
 	"github.com/interweaving/komp/internal/machine"
+	"github.com/interweaving/komp/internal/virgil"
 )
 
 // Pipeline selects the compilation pipeline for a model run.
@@ -177,18 +178,7 @@ func RunModel(env *core.Env, s *Spec, threads int) (RunResult, error) {
 			tc.Charge(int64(faultNS / float64(threads)))
 		}
 		if pipe == PipeAutoMP {
-			// The orchestrating thread only submits and waits; in a real
-			// kernel its microsecond-scale operations preempt and
-			// interleave with the worker occupying its CPU. Unbind it so
-			// the non-preemptive simulated CPU does not serialize worker
-			// wakeups behind multi-millisecond task bodies.
-			if ph, ok := tc.(exec.ProcHolder); ok {
-				ph.Proc().SetCPU(-1)
-			}
-			v := env.Virgil()
-			v.Start(tc)
-			compiled.RunVirgil(tc, v, scale)
-			v.Stop(tc)
+			env.WithVirgil(tc, func(v virgil.Runtime) { compiled.RunVirgil(tc, v, scale) })
 		} else {
 			rt := env.OMPRuntime()
 			cck.RunOpenMP(tc, prog, rt, threads, scale)
