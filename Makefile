@@ -82,10 +82,10 @@ bench-smoke:
 
 # bench-diff compares every deterministic kompbench artifact — the
 # -quick figures, all -quick ablations (faults included), the profile,
-# and the -json records except simcore's wall-clock ones — built at git
-# ref BASE against the working tree, and fails on the first byte that
-# differs. A change meant to keep virtual time identical must pass it
-# against its parent: make bench-diff BASE=HEAD~1
+# and every -json record — built at git ref BASE against the working
+# tree, and fails on the first byte that differs. A change meant to keep
+# virtual time identical must pass it against its parent:
+# make bench-diff BASE=HEAD~1
 bench-diff:
 	@test -n "$(BASE)" || { echo "usage: make bench-diff BASE=<git-ref>"; exit 2; }
 	@bash scripts/bench-diff.sh "$(BASE)"

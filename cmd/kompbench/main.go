@@ -22,7 +22,11 @@ import (
 
 func main() {
 	figure := flag.String("figure", "", "figure id (fig6..fig15); empty = all")
-	ablation := flag.String("ablation", "", "ablation id (ab-firsttouch, ab-pthread, ab-chunk, ab-privatization, ab-boot, barrier, tasking, affinity, faults, cancel, simcore, nested, tenancy, offload); 'all' runs every ablation")
+	var ablationIDs []string
+	for _, f := range bench.Ablations() {
+		ablationIDs = append(ablationIDs, f.ID)
+	}
+	ablation := flag.String("ablation", "", "ablation id ("+strings.Join(ablationIDs, ", ")+"); 'all' runs every ablation")
 	quick := flag.Bool("quick", false, "reduced scales and repetitions")
 	profile := flag.Bool("profile", false, "per-construct profile of every environment (instead of figures)")
 	seed := flag.Int64("seed", 42, "simulator seed")

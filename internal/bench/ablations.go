@@ -30,7 +30,6 @@ func Ablations() []Figure {
 		{"affinity", "Ablation: proc_bind x schedule over places, plus steal locality, on 8XEON", AblationAffinity},
 		{"faults", "Resilience study: seeded fault injection across the MPI, OpenMP, and multikernel recovery paths", AblationFaults},
 		{"cancel", "Ablation: cancellation propagation latency (flat vs tree) and fault-composed graceful abort", AblationCancel},
-		{"simcore", "Ablation: DES event-queue algorithm (heap vs timer wheel) — events/sec and trace equality up to 1024 cores", AblationSimcore},
 		{"nested", "Ablation: nested parallelism — inner fork/join cost x lease policy, and a two-level plane sweep vs the serialized baseline", AblationNested},
 		{"tenancy", "Ablation: multi-tenant service — open-loop latency under placement sharding, admission backpressure, and work-conserving rebalance", AblationTenancy},
 		{"offload", "Ablation: device offload — target teams distribute on the simulated accelerator vs host worksharing, with map-traffic hoisting", AblationOffload},

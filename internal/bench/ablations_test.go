@@ -1,16 +1,17 @@
 package bench
 
 import (
+	"io"
 	"strings"
 	"testing"
 )
 
 func TestAblationRegistry(t *testing.T) {
 	abs := Ablations()
-	if len(abs) != 14 {
+	if len(abs) != 13 {
 		t.Fatalf("ablations = %d", len(abs))
 	}
-	for _, id := range []string{"ab-firsttouch", "ab-pthread", "ab-chunk", "ab-privatization", "barrier", "tasking", "affinity", "faults", "cancel", "simcore", "nested", "tenancy", "offload"} {
+	for _, id := range []string{"ab-firsttouch", "ab-pthread", "ab-chunk", "ab-privatization", "barrier", "tasking", "affinity", "faults", "cancel", "nested", "tenancy", "offload"} {
 		if _, ok := AblationByID(id); !ok {
 			t.Fatalf("missing %s", id)
 		}
@@ -120,23 +121,36 @@ func TestAblationCancelShape(t *testing.T) {
 	}
 }
 
-func TestAblationSimcoreShape(t *testing.T) {
-	// AblationSimcore itself errors when heap and wheel disagree on any
-	// virtual result or when the wheel fails to beat the heap's
-	// events/sec at 192 cores, so a clean return is most of the
-	// assertion.
-	var b strings.Builder
-	if err := AblationSimcore(&b, Options{Quick: true}); err != nil {
+// TestAblationOffloadShape: AblationOffload itself errors when a league
+// reduction is wrong, the largest device fails to beat host-serial, or
+// target-data hoisting fails to cut map traffic, so a clean return is
+// most of the assertion; the records must carry the device geometry and
+// both map-traffic strategies.
+func TestAblationOffloadShape(t *testing.T) {
+	rec := &Recorder{}
+	if err := AblationOffload(io.Discard, Options{Quick: true, Recorder: rec}); err != nil {
 		t.Fatal(err)
 	}
-	out := b.String()
-	for _, want := range []string{"heap", "wheel", "Event storm", "vus/barrier", "true"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("ablation output missing %q:\n%s", want, out)
+	var device, tofrom, hoist int
+	for _, r := range rec.Records {
+		if r.Figure != "offload" || r.Seconds <= 0 {
+			t.Fatalf("bad record %+v", r)
+		}
+		if r.Env == "device" {
+			device++
+			if r.DeviceCUs <= 0 || r.DeviceLanes <= 0 || r.BytesH2D <= 0 || r.BytesD2H <= 0 {
+				t.Fatalf("device record incomplete: %+v", r)
+			}
+		}
+		switch r.Construct {
+		case "MAP-TRAFFIC-TOFROM":
+			tofrom++
+		case "MAP-TRAFFIC-HOIST":
+			hoist++
 		}
 	}
-	if strings.Contains(out, "false") {
-		t.Fatalf("heap/wheel disagreement in ablation output:\n%s", out)
+	if device == 0 || tofrom != 1 || hoist != 1 {
+		t.Fatalf("records: %d device, %d tofrom, %d hoist; want >0, 1, 1", device, tofrom, hoist)
 	}
 }
 

@@ -170,6 +170,30 @@ func TestDeterministicFigure(t *testing.T) {
 
 // Headline regression guards: the paper's geomean claims must keep
 // holding after any retuning. Full-fidelity NAS sweeps (a few seconds).
+// TestProfileReportQuick: the profile prints one section per
+// environment in profileEnvs order, and is a pure function of the seed.
+func TestProfileReportQuick(t *testing.T) {
+	var runs [2]strings.Builder
+	for i := range runs {
+		if err := ProfileReport(&runs[i], Options{Quick: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out := runs[0].String()
+	if out != runs[1].String() {
+		t.Fatal("two profile runs differ")
+	}
+	var sections []string
+	for _, line := range strings.Split(out, "\n") {
+		if name, ok := strings.CutPrefix(line, "--- "); ok {
+			sections = append(sections, strings.TrimSuffix(name, " ---"))
+		}
+	}
+	if got := strings.Join(sections, " "); got != "linux-omp rtk pik nk-automp" {
+		t.Fatalf("profile sections %q, want linux-omp rtk pik nk-automp", got)
+	}
+}
+
 func TestHeadlineGeomeans(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep")

@@ -78,12 +78,6 @@ type Record struct {
 	P50NS    int64 `json:"p50_ns,omitempty"`
 	P99NS    int64 `json:"p99_ns,omitempty"`
 	Rejected int64 `json:"rejected,omitempty"`
-	// EQAlgo identifies a simcore-ablation cell's event-queue algorithm
-	// (wheel, heap); EventsPerSec is that run's wall-clock DES
-	// throughput (simulator events fired per second of host time —
-	// machine-dependent, so excluded from determinism diffs).
-	EQAlgo       string  `json:"eq_algo,omitempty"`
-	EventsPerSec float64 `json:"events_per_sec,omitempty"`
 	// DeviceCUs and DeviceLanes identify an offload-ablation cell's
 	// accelerator geometry; BytesH2D and BytesD2H are the run's
 	// host-to-device and device-to-host map traffic.

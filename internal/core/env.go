@@ -28,7 +28,6 @@ import (
 	"github.com/interweaving/komp/internal/places"
 	"github.com/interweaving/komp/internal/pthread"
 	"github.com/interweaving/komp/internal/rtk"
-	"github.com/interweaving/komp/internal/sim"
 	"github.com/interweaving/komp/internal/virgil"
 )
 
@@ -138,9 +137,6 @@ type Config struct {
 	// the machine's topology), Spine, Device, and PthreadImpl outside RTK
 	// (RTK takes PTE or Custom from here, Custom by default).
 	OMP omp.Options
-	// SimEQ selects the simulator's event-queue algorithm (zero value:
-	// the wheel; the heap is the differential-testing baseline).
-	SimEQ sim.EQAlgo
 	// Spine, if non-nil, is threaded through every layer the environment
 	// assembles — the exec layer (thread events), the OpenMP runtime or
 	// VIRGIL, and the kernel facilities — so one tool observes the whole
@@ -219,7 +215,7 @@ func New(cfg Config) *Env {
 	}
 
 	if !row.inKernel {
-		e.Layer = exec.NewSimLayer(linuxsim.NewSimEQ(m, cfg.Seed, cfg.SimEQ), row.costs(m))
+		e.Layer = exec.NewSimLayer(linuxsim.NewSim(m, cfg.Seed), row.costs(m))
 		e.AS = linuxsim.NewAddressSpace(m)
 		e.PageSize = linuxsim.PageSize
 		e.FirstTouch = true
@@ -234,7 +230,6 @@ func New(cfg Config) *Env {
 		k := nautilus.Boot(nautilus.Config{
 			Machine:        m,
 			Seed:           cfg.Seed,
-			EQ:             cfg.SimEQ,
 			Costs:          row.costs(m),
 			FirstTouch:     firstTouch,
 			BootImageBytes: boot,

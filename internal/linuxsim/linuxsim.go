@@ -119,13 +119,7 @@ func NewAddressSpace(m *machine.Machine) *memsim.AddressSpace {
 
 // NewSim builds the simulator for a Linux run: machine CPUs, Linux noise.
 func NewSim(m *machine.Machine, seed int64) *sim.Sim {
-	return NewSimEQ(m, seed, sim.EQWheel)
-}
-
-// NewSimEQ is NewSim with an explicit event-queue algorithm
-// (core.Config.SimEQ).
-func NewSimEQ(m *machine.Machine, seed int64, eq sim.EQAlgo) *sim.Sim {
-	s := sim.NewEQ(m.NumCPUs(), seed, eq)
+	s := sim.New(m.NumCPUs(), seed)
 	s.SetNoise(NewNoise(m))
 	return s
 }

@@ -44,10 +44,6 @@ type Config struct {
 	// with another kernel). The kernel then only applies its noise model
 	// to its own CPU set.
 	Sim *sim.Sim
-	// EQ selects the simulator event-queue algorithm when Boot creates
-	// a fresh simulator (zero value: the wheel). Ignored when Sim is
-	// supplied.
-	EQ sim.EQAlgo
 	// CPUs restricts the kernel to a CPU subset (nil: all CPUs). The
 	// scheduler, task system, and noise model honor it.
 	CPUs []int
@@ -154,7 +150,7 @@ func Boot(cfg Config) *Kernel {
 	s := cfg.Sim
 	fresh := s == nil
 	if fresh {
-		s = sim.NewEQ(cfg.Machine.NumCPUs(), cfg.Seed, cfg.EQ)
+		s = sim.New(cfg.Machine.NumCPUs(), cfg.Seed)
 	}
 	noise := cfg.Noise
 	if noise == nil {

@@ -1,6 +1,7 @@
 package omp
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -751,5 +752,54 @@ func TestTracerRecordsRegionsAndLoops(t *testing.T) {
 	}
 	if loops != 4 {
 		t.Fatalf("loop spans = %d, want one per thread", loops)
+	}
+}
+
+// TestTracerNestedWaitSpans: sibling inner teams each have a thread
+// 0..2, so a tracer pairing SyncAcquire/SyncAcquired by thread number
+// alone lets their open waits overwrite each other. Every SyncAcquired
+// must close exactly one wait/* span, and every region one parallel
+// span.
+func TestTracerNestedWaitSpans(t *testing.T) {
+	tr := trace.New()
+	sp := ompt.NewSpine()
+	trace.Attach(tr, sp)
+	rec := ompt.NewRecorder(sp, ompt.SyncAcquired, ompt.ParallelEnd)
+	layer := exec.NewSimLayer(sim.New(8, 1), simCosts())
+	rt := New(layer, Options{MaxThreads: 8, Bind: true, MaxActiveLevels: 2, Spine: sp})
+	_, err := layer.Run(func(tc exec.TC) {
+		rt.Parallel(tc, 2, func(ow *Worker) {
+			ow.Parallel(3, func(iw *Worker) {
+				iw.TC().Charge(int64(300 * (iw.ThreadNum() + 1)))
+				iw.Barrier()
+			})
+		})
+		rt.Close(tc)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var acquired, ends int
+	for _, ev := range rec.Events() {
+		if ev.Kind == ompt.SyncAcquired {
+			acquired++
+		} else {
+			ends++
+		}
+	}
+	var waits, regions int
+	for _, e := range tr.Events() {
+		switch {
+		case strings.HasPrefix(e.Name, "wait/"):
+			waits++
+		case strings.HasPrefix(e.Name, "parallel#"):
+			regions++
+		}
+	}
+	if acquired == 0 || waits != acquired {
+		t.Errorf("wait spans = %d, want one per SyncAcquired (%d)", waits, acquired)
+	}
+	if regions != ends {
+		t.Errorf("parallel spans = %d, want one per ParallelEnd (%d)", regions, ends)
 	}
 }

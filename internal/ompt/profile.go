@@ -27,34 +27,35 @@ type Profile struct {
 	// waits on at most one sync object at a time, so one open slot per
 	// (worker, sync kind) suffices; work and task bodies nest, so
 	// those are stacks.
-	threads map[profKey]*threadProf
+	threads map[WorkerKey]*threadProf
 	// regionBegin is ParallelBegin's time per live region, read by
 	// other threads' ImplicitTaskBegin to attribute fork latency.
-	regionBegin map[regionKey]int64
+	regionBegin map[RegionKey]int64
 	// regionLevel records each live region's nesting level so
 	// ParallelEnd can attribute inner regions to catNested.
-	regionLevel map[regionKey]int32
+	regionLevel map[RegionKey]int32
 }
 
-// profKey identifies one physical executing worker: Event.Gid when the
+// WorkerKey identifies one physical executing worker: Event.Gid when the
 // emitter carries one (all OpenMP runtime events; unique per physical
 // worker, stable across regions and levels), the bare thread id
 // otherwise (gid 0: thread lifecycle, VIRGIL, CCK — emitters with no
 // cross-region spans). The tenant id disambiguates workers of distinct
 // runtimes sharing one pool: a pool worker keeps its gid across leases,
 // so without the tenant a worker's spans from two tenants would
-// interleave in one slot.
-type profKey struct {
-	gid, thread int32
-	tenant      int32
+// interleave in one slot. Every consumer pairing a worker's begin/end
+// events keys them by it.
+type WorkerKey struct {
+	Gid, Thread int32
+	Tenant      int32
 }
 
-// regionKey identifies one live parallel region. Region ids are scoped
+// RegionKey identifies one live parallel region. Region ids are scoped
 // per runtime instance, so two tenants of a shared pool both have a
-// region 1; the tenant id keeps their fork spans from colliding.
-type regionKey struct {
-	tenant int32
-	region uint64
+// region 1; the tenant id keeps their spans from colliding.
+type RegionKey struct {
+	Tenant int32
+	Region uint64
 }
 
 type threadProf struct {
@@ -160,8 +161,8 @@ func workCat(w Work) int {
 
 // NewProfile creates a profiler and registers it on sp.
 func NewProfile(sp *Spine) *Profile {
-	p := &Profile{threads: map[profKey]*threadProf{},
-		regionBegin: map[regionKey]int64{}, regionLevel: map[regionKey]int32{}}
+	p := &Profile{threads: map[WorkerKey]*threadProf{},
+		regionBegin: map[RegionKey]int64{}, regionLevel: map[RegionKey]int32{}}
 	sp.On(p.consume,
 		ThreadBegin, ThreadEnd,
 		ParallelBegin, ParallelEnd,
@@ -174,7 +175,7 @@ func NewProfile(sp *Spine) *Profile {
 	return p
 }
 
-func (p *Profile) thread(who profKey) *threadProf {
+func (p *Profile) thread(who WorkerKey) *threadProf {
 	tp := p.threads[who]
 	if tp == nil {
 		tp = &threadProf{implAt: -1}
@@ -194,8 +195,8 @@ func (p *Profile) add(cat int, ns int64) {
 func (p *Profile) consume(ev Event) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	tp := p.thread(profKey{ev.Gid, ev.Thread, ev.Tenant})
-	rk := regionKey{ev.Tenant, ev.Region}
+	tp := p.thread(WorkerKey{ev.Gid, ev.Thread, ev.Tenant})
+	rk := RegionKey{ev.Tenant, ev.Region}
 	switch ev.Kind {
 	case ThreadBegin:
 		tp.born = ev.TimeNS

@@ -43,6 +43,26 @@ func BenchmarkSchedule(b *testing.B) {
 	}
 }
 
+// BenchmarkStorm is the host speed of both queues on the differential
+// test's event storm (buildStormWorkload): events fired per host second
+// over a 50 virtual µs horizon, simulator construction included.
+func BenchmarkStorm(b *testing.B) {
+	for _, algo := range benchAlgos() {
+		for _, n := range benchProcs[1:] {
+			b.Run(fmt.Sprintf("%s/cores=%d", algo, n), func(b *testing.B) {
+				var fired int64
+				for i := 0; i < b.N; i++ {
+					s := NewEQ(1, 42, algo)
+					buildStormWorkload(s, n, 50_000, nil)
+					s.RunUntil(50_000)
+					fired += s.EventsFired()
+				}
+				b.ReportMetric(float64(fired)/b.Elapsed().Seconds(), "events/s")
+			})
+		}
+	}
+}
+
 // BenchmarkRunUntil measures steady-state event throughput: n
 // self-rearming timer streams with staggered periods, advanced in
 // fixed windows. Events per op scales with n, so compare via the

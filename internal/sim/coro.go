@@ -48,8 +48,8 @@ func IsKill(r any) bool {
 }
 
 // coroFreeMax caps the idle coroutines kept for reuse. One 8XEON cell is
-// 192 procs and nothing larger than 1024 runs in `-ablation simcore`, so
-// every run recycles all of its coroutines into the next one; beyond the
+// 192 procs and nothing larger than the 1024-core machine runs, so every
+// run recycles all of its coroutines into the next one; beyond the
 // cap a finished coroutine is stopped and its stack returned.
 const coroFreeMax = 1024
 

@@ -3,9 +3,10 @@ package sim
 import "math/bits"
 
 // EQAlgo selects the simulator's event-queue algorithm (NewEQ). The
-// wheel is the default; the binary heap is retained as the
-// differential-testing baseline — both produce the exact same event
-// firing order (timestamp, then seq), so traces are byte-identical.
+// wheel is the only one production code runs; the binary heap is the
+// test oracle the differential tests hold it to — both produce the exact
+// same event firing order (timestamp, then seq), so traces are
+// byte-identical. Host speed of both is in `go test -bench . ./internal/sim`.
 type EQAlgo int
 
 // Event-queue algorithms.
@@ -17,7 +18,7 @@ const (
 	// refills the wheel as the clock advances.
 	EQWheel EQAlgo = iota
 	// EQHeap is the classic binary min-heap over (at, seq) — O(log n)
-	// sift per event, kept as the differential-testing baseline.
+	// sift per event, kept as the differential tests' reference.
 	EQHeap
 )
 
@@ -123,8 +124,8 @@ type wheelQueue struct {
 	l2      uint64   // one bit per l1 word
 	spill   spillHeap
 
-	// spilled counts events that took the far-future path (diagnostics
-	// for the simcore ablation; deterministic).
+	// spilled counts events that took the far-future path (Sim.EventsSpilled;
+	// deterministic).
 	spilled int64
 }
 

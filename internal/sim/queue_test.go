@@ -6,15 +6,15 @@ import (
 	"testing"
 )
 
-// TestEQAlgoNames pins the names the simcore ablation prints, and that
-// the zero value — what New builds — is the wheel.
+// TestEQAlgoNames pins the names the differential tests report, and
+// that the zero value and New both build the wheel.
 func TestEQAlgoNames(t *testing.T) {
 	var zero EQAlgo
 	if zero != EQWheel || EQWheel.String() != "wheel" || EQHeap.String() != "heap" {
 		t.Errorf("zero=%v wheel=%s heap=%s", zero, EQWheel, EQHeap)
 	}
-	if got := New(1, 1).EQ(); got != EQWheel {
-		t.Errorf("New built the %v queue, want the wheel", got)
+	if _, ok := New(1, 1).eq.(*wheelQueue); !ok {
+		t.Errorf("New built %T, want the wheel", New(1, 1).eq)
 	}
 }
 
@@ -183,37 +183,103 @@ func buildFuzzWorkload(s *Sim, seed int64, trace *[]fireRec) {
 	}
 }
 
-// TestSimDifferentialFuzz runs the full randomized workload on a
-// wheel-backed and a heap-backed simulator and requires the event-firing
-// traces — (virtual time, tag) for every callback and proc step — to be
-// identical, along with the fired-event totals and final clocks.
+// buildStormWorkload is an event storm over n simulated cores, the event
+// mix the simulated kernels generate at scale: a standing far-future
+// timeout per core that never fires inside the horizon (the heap sifts
+// past them on every operation; the wheel keeps them in the spill
+// level), two tick streams per core at staggered periods whose every
+// 64th tick arms and immediately cancels an alarm (the futex recheck
+// pattern), and an n-wide same-timestamp release every 400 ns (a
+// barrier release in miniature). Ticks and releases are traced unless
+// trace is nil (BenchmarkStorm).
+func buildStormWorkload(s *Sim, n int, horizon Time, trace *[]fireRec) {
+	rec := func(tag int) {
+		if trace != nil {
+			*trace = append(*trace, fireRec{s.Now(), tag})
+		}
+	}
+	noop := func() {}
+	for i := 0; i < n; i++ {
+		s.At(horizon+1_000_000+Time(i), noop)
+	}
+	ticks := make([]func(), 2*n)
+	for i := range ticks {
+		period := Time(96 + i%67)
+		beat := 0
+		ticks[i] = func() {
+			rec(i)
+			beat++
+			if beat%64 == 0 {
+				cancel := s.AfterCancel(500, noop)
+				cancel()
+			}
+			s.After(period, ticks[i])
+		}
+		s.After(Time(1+i%97), ticks[i])
+	}
+	var release func()
+	release = func() {
+		rec(-1)
+		at := s.Now() + 1
+		for i := 0; i < n; i++ {
+			s.At(at, noop)
+		}
+		s.After(400, release)
+	}
+	s.After(400, release)
+}
+
+// TestSimDifferentialFuzz runs each input on a wheel-backed and a
+// heap-backed simulator and requires the event-firing traces — (virtual
+// time, tag) for every traced callback and proc step — to be identical,
+// along with the fired-event totals and final clocks. The inputs are the
+// randomized fuzz workload at six seeds, run to quiescence, and the
+// event storm at 192 and 1024 cores, run to a short horizon.
 func TestSimDifferentialFuzz(t *testing.T) {
+	type input struct {
+		name  string
+		ncpu  int
+		build func(s *Sim, trace *[]fireRec)
+		until Time // 0: Run to quiescence
+	}
+	var inputs []input
 	for seed := int64(1); seed <= 6; seed++ {
+		inputs = append(inputs, input{fmt.Sprintf("fuzz seed %d", seed), 8,
+			func(s *Sim, trace *[]fireRec) { buildFuzzWorkload(s, seed, trace) }, 0})
+	}
+	const horizon = 50_000
+	for _, n := range []int{192, 1024} {
+		inputs = append(inputs, input{fmt.Sprintf("storm %d cores", n), 1,
+			func(s *Sim, trace *[]fireRec) { buildStormWorkload(s, n, horizon, trace) }, horizon})
+	}
+	for _, in := range inputs {
 		var traces [2][]fireRec
 		var fired [2]int64
 		var final [2]Time
 		for i, algo := range []EQAlgo{EQWheel, EQHeap} {
-			s := NewEQ(8, 42, algo)
-			buildFuzzWorkload(s, seed, &traces[i])
-			if err := s.Run(); err != nil {
-				t.Fatalf("seed %d %s: Run: %v", seed, algo, err)
+			s := NewEQ(in.ncpu, 42, algo)
+			in.build(s, &traces[i])
+			if in.until > 0 {
+				s.RunUntil(in.until)
+			} else if err := s.Run(); err != nil {
+				t.Fatalf("%s %s: Run: %v", in.name, algo, err)
 			}
 			fired[i] = s.EventsFired()
 			final[i] = s.Now()
 		}
 		if len(traces[0]) != len(traces[1]) {
-			t.Fatalf("seed %d: trace lengths wheel=%d heap=%d",
-				seed, len(traces[0]), len(traces[1]))
+			t.Fatalf("%s: trace lengths wheel=%d heap=%d",
+				in.name, len(traces[0]), len(traces[1]))
 		}
 		for j := range traces[0] {
 			if traces[0][j] != traces[1][j] {
-				t.Fatalf("seed %d: trace[%d] wheel=%+v heap=%+v",
-					seed, j, traces[0][j], traces[1][j])
+				t.Fatalf("%s: trace[%d] wheel=%+v heap=%+v",
+					in.name, j, traces[0][j], traces[1][j])
 			}
 		}
 		if fired[0] != fired[1] || final[0] != final[1] {
-			t.Fatalf("seed %d: fired wheel=%d heap=%d, final wheel=%d heap=%d",
-				seed, fired[0], fired[1], final[0], final[1])
+			t.Fatalf("%s: fired wheel=%d heap=%d, final wheel=%d heap=%d",
+				in.name, fired[0], fired[1], final[0], final[1])
 		}
 	}
 }

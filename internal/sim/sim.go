@@ -165,7 +165,6 @@ func (p *Proc) Sim() *Sim { return p.sim }
 type Sim struct {
 	now    Time
 	eq     eventQueue
-	algo   EQAlgo
 	free   *eventNode // recycled event nodes (alloc-free hot path)
 	seq    uint64
 	fired  int64 // events popped and acted on (cancelled pops excluded)
@@ -202,14 +201,13 @@ type Sim struct {
 func New(ncpu int, seed int64) *Sim { return NewEQ(ncpu, seed, EQWheel) }
 
 // NewEQ creates a simulator with an explicit event-queue algorithm. Both
-// algorithms fire events in the exact same order; EQHeap exists as the
-// differential-testing baseline.
+// algorithms fire events in the exact same order. Production code calls
+// New; EQHeap is the reference the differential tests hold the wheel to.
 func NewEQ(ncpu int, seed int64, algo EQAlgo) *Sim {
 	if ncpu < 1 {
 		panic("sim: need at least one CPU")
 	}
 	s := &Sim{
-		algo:       algo,
 		rng:        rand.New(rand.NewSource(seed)),
 		cpus:       make([]CPU, ncpu),
 		wdEarliest: math.MaxInt64,
@@ -225,12 +223,9 @@ func NewEQ(ncpu int, seed int64, algo EQAlgo) *Sim {
 	return s
 }
 
-// EQ reports the event-queue algorithm in use.
-func (s *Sim) EQ() EQAlgo { return s.algo }
-
 // EventsFired returns the number of events processed so far (cancelled
 // events, which are discarded without advancing the clock, do not
-// count). It is the numerator of the simcore ablation's events/sec.
+// count).
 func (s *Sim) EventsFired() int64 { return s.fired }
 
 // EventsSpilled returns how many events took the far-future spill path

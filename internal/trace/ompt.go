@@ -14,9 +14,9 @@ import (
 func Attach(t *Tracer, sp *ompt.Spine) {
 	c := &consumer{
 		t:       t,
-		regions: map[uint64]regionOpen{},
+		regions: map[ompt.RegionKey]regionOpen{},
 		targets: map[uint64]int64{},
-		threads: map[int32]*laneState{},
+		threads: map[ompt.WorkerKey]*laneState{},
 	}
 	sp.On(c.consume,
 		ompt.ThreadBegin, ompt.ThreadEnd,
@@ -33,7 +33,11 @@ type regionOpen struct {
 	args map[string]string // {"threads": n}, built once per region
 }
 
-// laneState is one thread lane's open-interval state.
+// laneState is one worker's open-interval state. Lanes are keyed by
+// ompt.WorkerKey, not by thread number: sibling inner teams each have a
+// thread 0..k, and tenants share pool workers, so the thread number
+// alone would let their open intervals overwrite each other. Spans are
+// still drawn on the thread-number row.
 type laneState struct {
 	bornAt int64
 	born   bool
@@ -49,21 +53,22 @@ type consumer struct {
 	t  *Tracer
 	mu sync.Mutex
 
-	regions  map[uint64]regionOpen
+	regions  map[ompt.RegionKey]regionOpen
 	targets  map[uint64]int64 // open target regions: id -> begin time
-	threads  map[int32]*laneState
+	threads  map[ompt.WorkerKey]*laneState
 	pending  int64 // tasks created and not yet completed
 	devBytes int64 // cumulative host<->device transfer bytes
 }
 
-func (c *consumer) lane(id int32) *laneState {
-	l := c.threads[id]
+func (c *consumer) lane(ev *ompt.Event) *laneState {
+	who := ompt.WorkerKey{Gid: ev.Gid, Thread: ev.Thread, Tenant: ev.Tenant}
+	l := c.threads[who]
 	if l == nil {
 		l = &laneState{}
 		for i := range l.syncAt {
 			l.syncAt[i] = -1
 		}
-		c.threads[id] = l
+		c.threads[who] = l
 	}
 	return l
 }
@@ -91,29 +96,30 @@ func (c *consumer) consume(ev ompt.Event) {
 	tid := int(ev.Thread)
 	switch ev.Kind {
 	case ompt.ThreadBegin:
-		l := c.lane(ev.Thread)
+		l := c.lane(&ev)
 		l.bornAt, l.born = ev.TimeNS, true
 	case ompt.ThreadEnd:
-		if l := c.lane(ev.Thread); l.born {
+		if l := c.lane(&ev); l.born {
 			c.t.Span("thread", "exec", tid, l.bornAt, ev.TimeNS-l.bornAt, nil)
 			l.born = false
 		}
 	case ompt.ParallelBegin:
-		c.regions[ev.Region] = regionOpen{
+		c.regions[ompt.RegionKey{Tenant: ev.Tenant, Region: ev.Region}] = regionOpen{
 			at:   ev.TimeNS,
 			args: map[string]string{"threads": fmt.Sprint(ev.Arg0)},
 		}
 	case ompt.ParallelEnd:
-		if r, ok := c.regions[ev.Region]; ok {
-			delete(c.regions, ev.Region)
+		rk := ompt.RegionKey{Tenant: ev.Tenant, Region: ev.Region}
+		if r, ok := c.regions[rk]; ok {
+			delete(c.regions, rk)
 			c.t.Span(fmt.Sprintf("parallel#%d", ev.Region), "omp", tid,
 				r.at, ev.TimeNS-r.at, r.args)
 		}
 	case ompt.WorkBegin:
-		l := c.lane(ev.Thread)
+		l := c.lane(&ev)
 		l.work = append(l.work, ev.TimeNS)
 	case ompt.WorkEnd:
-		l := c.lane(ev.Thread)
+		l := c.lane(&ev)
 		if n := len(l.work); n > 0 {
 			at := l.work[n-1]
 			l.work = l.work[:n-1]
@@ -121,10 +127,10 @@ func (c *consumer) consume(ev ompt.Event) {
 		}
 	case ompt.SyncAcquire:
 		if int(ev.Sync) < 8 {
-			c.lane(ev.Thread).syncAt[ev.Sync] = ev.TimeNS
+			c.lane(&ev).syncAt[ev.Sync] = ev.TimeNS
 		}
 	case ompt.SyncAcquired:
-		l := c.lane(ev.Thread)
+		l := c.lane(&ev)
 		if int(ev.Sync) < 8 && l.syncAt[ev.Sync] >= 0 {
 			at := l.syncAt[ev.Sync]
 			l.syncAt[ev.Sync] = -1
@@ -134,10 +140,10 @@ func (c *consumer) consume(ev ompt.Event) {
 		c.pending++
 		c.t.Counter("tasks-pending", tid, ev.TimeNS, c.pending)
 	case ompt.TaskSchedule:
-		l := c.lane(ev.Thread)
+		l := c.lane(&ev)
 		l.task = append(l.task, ev.TimeNS)
 	case ompt.TaskComplete:
-		l := c.lane(ev.Thread)
+		l := c.lane(&ev)
 		if n := len(l.task); n > 0 {
 			at := l.task[n-1]
 			l.task = l.task[:n-1]

@@ -3,11 +3,10 @@
 # artifact at <git-ref> and at the working tree, and compares each pair
 # byte for byte: the -quick figures, every -quick ablation (faults
 # included), the -quick profile, and the -json records of the figures
-# and of every ablation except simcore, whose records carry wall-clock
-# events/sec. It names the first difference of each differing artifact
-# and exits non-zero if any differs. Both binaries and all outputs land in
-# .bench_build/bench-diff/ (gitignored); stderr, where kompbench prints
-# wall-clock timings, is not compared.
+# and of every ablation. It names the first difference of each differing
+# artifact and exits non-zero if any differs. Both binaries and all
+# outputs land in .bench_build/bench-diff/ (gitignored); stderr, where
+# kompbench prints wall-clock timings, is not compared.
 #
 #   make bench-diff BASE=origin/main
 set -euo pipefail
@@ -33,7 +32,6 @@ regen() {
 	"$kb" -quick -ablation all >"$d/ablations.txt" 2>/dev/null
 	"$kb" -quick -profile >"$d/profile.txt" 2>/dev/null
 	for id in $ablations; do
-		[ "$id" = simcore ] && continue
 		"$kb" -quick -ablation "$id" -json "$d/ablation-$id.json" >/dev/null 2>&1
 	done
 }
