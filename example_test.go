@@ -87,3 +87,152 @@ func Example_taskDependences() {
 	fmt.Println(sum)
 	// Output: 21
 }
+
+// A dependence chain through one location: Out writes it, InOut reads
+// and updates it, In reads it — each task waits for the one before.
+func Example_inOut() {
+	o := komp.New(4)
+	defer o.Close()
+
+	var x, got int
+	o.Parallel(0, func(w *komp.Worker) {
+		w.Master(func() {
+			w.TaskWith(komp.TaskOpt{Depend: []komp.Dep{komp.Out(&x)}},
+				func(*komp.Worker) { x = 1 })
+			w.TaskWith(komp.TaskOpt{Depend: []komp.Dep{komp.InOut(&x)}},
+				func(*komp.Worker) { x *= 10 })
+			w.TaskWith(komp.TaskOpt{Depend: []komp.Dep{komp.In(&x)}},
+				func(*komp.Worker) { got = x + 2 })
+		})
+		w.Barrier()
+	})
+	fmt.Println(got)
+	// Output: 12
+}
+
+// Nested parallelism: with two active levels allowed, each thread of
+// the outer team forks a real inner team, sized per level by the
+// OMP_NUM_THREADS-style list.
+func Example_nested() {
+	o := komp.New(4, komp.WithMaxActiveLevels(2), komp.WithNumThreadsList(2, 2))
+	defer o.Close()
+
+	var inner int
+	var sizes [3]int
+	o.Parallel(0, func(w *komp.Worker) {
+		w.Parallel(0, func(iw *komp.Worker) {
+			iw.Critical("count", func() {
+				inner++
+				sizes = [3]int{iw.TeamSize(0), iw.TeamSize(1), iw.TeamSize(2)}
+			})
+		})
+	})
+	fmt.Println("pool:", o.Threads())
+	fmt.Println("team sizes by level:", sizes)
+	fmt.Println("inner threads:", inner)
+	// Output:
+	// pool: 4
+	// team sizes by level: [1 2 2]
+	// inner threads: 4
+}
+
+// sumKernel is a `target teams distribute` reduction over a: each block
+// sums its slice of the operand, the league adds the partials. The body
+// reads the host slice, which a map(to:) copy equals; the result comes
+// back through the league reduction.
+func sumKernel(a []float64) komp.Kernel {
+	return komp.Kernel{
+		Name: "sum", N: len(a), IterNS: 10, BytesPerIter: 8,
+		Uses: []any{a},
+		Body: func(b komp.Block) float64 {
+			s := 0.0
+			for _, v := range a[b.Lo:b.Hi] {
+				s += v
+			}
+			return s
+		},
+		Reduce: func(x, y float64) float64 { return x + y },
+	}
+}
+
+// ones returns n copies of 1.0.
+func ones(n int) []float64 {
+	a := make([]float64, n)
+	for i := range a {
+		a[i] = 1
+	}
+	return a
+}
+
+// Offload: a reduction on the simulated accelerator (4 compute units of
+// 8 lanes). With no Chunk set, each team sees four distribute blocks.
+func Example_target() {
+	o := komp.New(2, komp.WithDevice(4, 8))
+	defer o.Close()
+
+	a := ones(1024)
+	res, err := o.Target([]komp.Map{komp.MapTo(a)}, sumKernel(a))
+	fmt.Println(res.Reduced, res.Blocks, err)
+	// Output: 1024 16 <nil>
+}
+
+// A structured data region keeps the operand on the device: both
+// kernels inside find it present. TargetEnterData/TargetExitData open
+// and close the same kind of mapping without a bracket.
+func Example_targetData() {
+	o := komp.New(2, komp.WithDevice(4, 8))
+	defer o.Close()
+
+	a := ones(512)
+	maps := []komp.Map{komp.MapTo(a)}
+	o.TargetData(maps, func() {
+		r1, _ := o.Target(maps, sumKernel(a))
+		r2, _ := o.Target(maps, sumKernel(a[:256]))
+		fmt.Println(r1.Reduced, r2.Reduced)
+	})
+
+	o.TargetEnterData(komp.MapTo(a))
+	r3, _ := o.Target(maps, sumKernel(a))
+	o.TargetExitData(komp.MapTo(a))
+	fmt.Println(r3.Reduced)
+	// Output:
+	// 512 256
+	// 512
+}
+
+// Map types decide what crosses at the end of a mapping: map(from:)
+// copies the device's copy back over the host data (here the device
+// never wrote it, so the host sees the freshly allocated zeroes),
+// map(tofrom:) round-trips it unchanged, and map(alloc:) moves nothing
+// either way.
+func Example_mapTypes() {
+	o := komp.New(2, komp.WithDevice(4, 8))
+	defer o.Close()
+
+	from := []float64{1, 2, 3}
+	tofrom := []float64{4, 5, 6}
+	alloc := []float64{7, 8, 9}
+	o.TargetData([]komp.Map{komp.MapFrom(from), komp.MapTofrom(tofrom), komp.MapAlloc(alloc)}, func() {})
+	fmt.Println(from, tofrom, alloc)
+	// Output: [0 0 0] [4 5 6] [7 8 9]
+}
+
+// OMP_DEFAULT_DEVICE=-1 is the host fallback: a target region runs on
+// the encountering thread over host memory, so the body may update the
+// mapped data in place.
+func Example_hostFallback() {
+	o := komp.New(2, komp.WithDefaultDevice(-1))
+	defer o.Close()
+
+	a := []float64{1, 2, 3, 4}
+	k := komp.Kernel{Name: "double", N: len(a), IterNS: 10,
+		Body: func(b komp.Block) float64 {
+			for i := b.Lo; i < b.Hi; i++ {
+				a[i] *= 2
+			}
+			return 0
+		}}
+	_, err := o.Target([]komp.Map{komp.MapTofrom(a)}, k)
+	fmt.Println(a, err)
+	// Output: [2 4 6 8] <nil>
+}

@@ -7,12 +7,9 @@ import (
 	"github.com/interweaving/komp/internal/cck"
 	"github.com/interweaving/komp/internal/core"
 	"github.com/interweaving/komp/internal/exec"
-	"github.com/interweaving/komp/internal/linuxsim"
 	"github.com/interweaving/komp/internal/machine"
-	"github.com/interweaving/komp/internal/multikernel"
 	"github.com/interweaving/komp/internal/nas"
 	"github.com/interweaving/komp/internal/omp"
-	"github.com/interweaving/komp/internal/pik"
 	"github.com/interweaving/komp/internal/pthread"
 )
 
@@ -24,11 +21,10 @@ func Ablations() []Figure {
 		{"ab-pthread", "Ablation: PTE port vs customized pthread layer (Fig. 2a vs 2b)", AblationPthread},
 		{"ab-chunk", "Ablation: AutoMP latency-aware chunk budget sweep", AblationChunk},
 		{"ab-privatization", "Ablation: exploiting privatization directives (the §6.2 future-work fix)", AblationPrivatization},
-		{"ab-boot", "Experiment: compartment reboot vs process creation (the §7 deployment argument)", AblationBootTime},
 		{"barrier", "Ablation: barrier arrival/release topology — flat vs tree vs hierarchical on 8XEON", AblationBarrier},
 		{"tasking", "Ablation: task deque algorithm (mutex vs Chase–Lev) x steal fanout x cutoff on 8XEON", AblationTasking},
 		{"affinity", "Ablation: proc_bind x schedule over places, plus steal locality, on 8XEON", AblationAffinity},
-		{"faults", "Resilience study: seeded fault injection across the MPI, OpenMP, and multikernel recovery paths", AblationFaults},
+		{"faults", "Resilience study: seeded CPU-offline and lost-wake faults against a Resilient OpenMP loop", AblationFaults},
 		{"cancel", "Ablation: cancellation propagation latency (flat vs tree) and fault-composed graceful abort", AblationCancel},
 		{"nested", "Ablation: nested parallelism — inner fork/join cost x lease policy, and a two-level plane sweep vs the serialized baseline", AblationNested},
 		{"tenancy", "Ablation: multi-tenant service — open-loop latency under placement sharding, admission backpressure, and work-conserving rebalance", AblationTenancy},
@@ -315,58 +311,5 @@ func AblationBarrier(w io.Writer, opt Options) error {
 	fmt.Fprintln(w, " release wakes all waiters from one CPU; the hierarchical tree bounds")
 	fmt.Fprintln(w, " both to O(fanout) transfers per node and folds the reduction into")
 	fmt.Fprintln(w, " the arrival combine, so a Reduce costs one barrier, not two)")
-	return nil
-}
-
-// AblationBootTime measures the §7 deployment argument: rebooting the
-// Nautilus compartment of a multi-kernel configuration happens "at
-// timescales similar to a process creation in Linux". It compares the
-// modeled compartment boot against loading a PIK executable and against
-// a Linux-analogue process creation (fork+exec-scale costs).
-func AblationBootTime(w io.Writer, opt Options) error {
-	m := machine.PHI()
-	part, err := multikernel.Boot(multikernel.Config{
-		Machine:          m,
-		Seed:             opt.seed(),
-		CompartmentCPUs:  16,
-		CompartmentBytes: 8 << 30,
-		KernelCosts: exec.Costs{ThreadSpawnNS: 2200, FutexWaitEntryNS: 80,
-			FutexWakeEntryNS: 80, FutexWakeLatencyNS: 400, MallocNS: 300,
-			SyscallExtraNS: 130},
-		BootImageBytes: 64 << 20,
-	})
-	if err != nil {
-		return err
-	}
-	pik.RegisterEntry("boot_probe", func(tc exec.TC, p *pik.Process, args []string) int { return 0 })
-	img := pik.Link(&pik.Image{Name: "probe", Flags: pik.FlagPIE, Entry: "boot_probe",
-		TextBytes: make([]byte, 8<<20), BSSSize: 16 << 20, StackSize: 1 << 20})
-
-	var rebootNS, pikNS, linuxProcNS int64
-	if _, err := part.HostLayer.Run(func(tc exec.TC) {
-		rebootNS = part.Reboot(tc)
-		h := part.SpawnInCompartment("pik-load", part.CompCPUs[0], func(ktc exec.TC) {
-			t0 := ktc.Now()
-			if _, _, err := pik.Run(ktc, part.Kernel, img, nil); err != nil {
-				return
-			}
-			pikNS = ktc.Now() - t0
-		})
-		h.Join(tc)
-		// Linux-analogue process creation: fork + exec + runtime linker +
-		// faulting the image in (modeled with the same image volume).
-		t0 := tc.Now()
-		tc.Charge(1_200_000)                                         // fork+execve+ld.so path
-		tc.Charge(int64(len(img)) / 4096 * linuxsim.PageFaultNS / 2) // demand-fault half the image
-		linuxProcNS = tc.Now() - t0
-	}); err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "Experiment: compartment reboot vs process creation (PHI, 16-CPU compartment)")
-	fmt.Fprintf(w, "%-44s %10.2f ms\n", "Nautilus compartment reboot (64MiB image)", float64(rebootNS)/1e6)
-	fmt.Fprintf(w, "%-44s %10.2f ms\n", "PIK load+exec of a 24MiB executable", float64(pikNS)/1e6)
-	fmt.Fprintf(w, "%-44s %10.2f ms\n", "Linux process creation (same executable)", float64(linuxProcNS)/1e6)
-	fmt.Fprintln(w, "\n(all three are single-digit milliseconds: cycling the specialized")
-	fmt.Fprintln(w, " kernel per job is as cheap as starting a process, §7)")
 	return nil
 }

@@ -8,7 +8,7 @@ import (
 
 func TestAblationRegistry(t *testing.T) {
 	abs := Ablations()
-	if len(abs) != 13 {
+	if len(abs) != 12 {
 		t.Fatalf("ablations = %d", len(abs))
 	}
 	for _, id := range []string{"ab-firsttouch", "ab-pthread", "ab-chunk", "ab-privatization", "barrier", "tasking", "affinity", "faults", "cancel", "nested", "tenancy", "offload"} {

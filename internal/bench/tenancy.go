@@ -46,7 +46,7 @@ func pctNS(lat []int64, p float64) int64 {
 	}
 	s := append([]int64(nil), lat...)
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	rank := int(p/100*float64(len(s)) + 0.9999)
+	rank := int(float64(p/100*float64(len(s))) + 0.9999)
 	if rank < 1 {
 		rank = 1
 	}

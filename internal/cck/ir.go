@@ -202,7 +202,7 @@ func (l *Loop) IterCost(i int) int64 {
 		return l.CostNS
 	}
 	frac := 2*float64(i)/float64(l.N-1) - 1 // -1..1
-	return int64(float64(l.CostNS) * (1 + l.Skew*frac))
+	return int64(float64(l.CostNS) * (1 + float64(l.Skew*frac)))
 }
 
 // TotalCost returns the summed iteration cost estimate.

@@ -347,7 +347,7 @@ func Multiplier(m *machine.Machine, kind Kind, pageSize int64, threads int, mem 
 	}
 	if remoteFrac > 0 && mem.MemBoundFrac > 0 {
 		ratio := m.RemoteLatencyNS/m.LocalLatencyNS - 1
-		over += mem.MemBoundFrac * remoteFrac * ratio
+		over += float64(mem.MemBoundFrac * remoteFrac * ratio)
 	}
 	return 1 + over
 }

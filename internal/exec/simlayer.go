@@ -187,8 +187,8 @@ func (t *simTC) Spawn(name string, cpu int, fn func(TC)) Handle {
 }
 
 // IsThreadKill reports whether a recovered panic value is the layer
-// unwinding a thread it has killed (sim.Kill: a crashed compartment, a
-// failed CPU). Runtime code that contains panics from user code must
+// unwinding a thread it has killed (sim.Kill: a failed CPU, a crashed
+// kernel). Runtime code that contains panics from user code must
 // re-raise such a value untouched; the real layer never produces one.
 func IsThreadKill(r any) bool { return sim.IsKill(r) }
 

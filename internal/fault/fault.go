@@ -1,8 +1,8 @@
 // Package fault is a deterministic, seeded fault-plan engine for the
 // discrete-event simulator. A Plan names faults either scheduled at
-// virtual times (CPU offline, compartment crash, IRQ storm) or injected
-// by seeded probability at well-defined probe points (NIC frame drop and
-// corruption, lost futex wakes, allocation failures).
+// virtual times (CPU offline, accelerator CU offline, IRQ storm) or
+// injected by seeded probability at a well-defined probe point (lost
+// futex wakes).
 //
 // Determinism: the engine draws from its own RNG stream, seeded from
 // Plan.Seed, never from the workload simulator's RNG. Probes are rolled
@@ -10,11 +10,10 @@
 // so two runs of the same workload with the same plan inject byte-for-
 // byte identical fault sequences — a failing run can always be replayed.
 //
-// The engine knows nothing about the layers above the simulator. Probes
-// (DropFrame, LoseWake, FailAlloc, ...) are plain func() bool values the
-// layers accept in their configs, and scheduled faults invoke caller-
-// provided Handlers, so mpi/omp/multikernel/nautilus stay decoupled from
-// this package.
+// The engine knows nothing about the layers above the simulator. The
+// probe (LoseWake) is a plain func() bool value the execution layer
+// accepts, and scheduled faults invoke caller-provided Handlers, so
+// exec/omp/device stay decoupled from this package.
 package fault
 
 import (
@@ -36,8 +35,6 @@ type Kind int
 const (
 	// CPUOffline takes a CPU out of service at a virtual time (Arg: CPU).
 	CPUOffline Kind = iota
-	// CompartmentCrash kills a kernel compartment (Arg: compartment id).
-	CompartmentCrash
 	// IRQStorm floods a CPU with interrupts for a duration (Arg: CPU,
 	// Dur: storm length).
 	IRQStorm
@@ -46,34 +43,20 @@ const (
 	// queued blocks to surviving teams.
 	CUOffline
 
-	// FrameDrop drops a NIC frame (rate-driven).
-	FrameDrop
-	// FrameCorrupt corrupts a NIC frame in flight (rate-driven).
-	FrameCorrupt
 	// LostWake drops a futex wake-up (rate-driven).
 	LostWake
-	// AllocFail fails a kernel allocation (rate-driven).
-	AllocFail
 )
 
 func (k Kind) String() string {
 	switch k {
 	case CPUOffline:
 		return "cpu-offline"
-	case CompartmentCrash:
-		return "crash"
 	case IRQStorm:
 		return "irq-storm"
 	case CUOffline:
 		return "cu-offline"
-	case FrameDrop:
-		return "drop"
-	case FrameCorrupt:
-		return "corrupt"
 	case LostWake:
 		return "lost-wake"
-	case AllocFail:
-		return "alloc-fail"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
@@ -83,7 +66,7 @@ func (k Kind) String() string {
 type Event struct {
 	At   sim.Time
 	Kind Kind
-	Arg  int      // CPU id or compartment id
+	Arg  int      // CPU or CU id
 	Dur  sim.Time // IRQStorm only: storm duration
 }
 
@@ -96,17 +79,13 @@ type Plan struct {
 	// Scheduled faults, applied in virtual-time order.
 	Events []Event
 
-	// Probe rates in [0, 1].
-	DropRate      float64 // NIC frame drop
-	CorruptRate   float64 // NIC frame corruption
-	LostWakeRate  float64 // futex wake loss
-	AllocFailRate float64 // kernel allocation failure
+	// LostWakeRate is the futex wake-loss probe rate, in [0, 1].
+	LostWakeRate float64
 }
 
 // Empty reports whether the plan injects nothing.
 func (p Plan) Empty() bool {
-	return len(p.Events) == 0 && p.DropRate == 0 && p.CorruptRate == 0 &&
-		p.LostWakeRate == 0 && p.AllocFailRate == 0
+	return len(p.Events) == 0 && p.LostWakeRate == 0
 }
 
 // String renders the plan in the same directive format Parse accepts.
@@ -115,13 +94,8 @@ func (p Plan) String() string {
 	if p.Seed != 0 {
 		parts = append(parts, fmt.Sprintf("seed=%d", p.Seed))
 	}
-	for _, r := range []struct {
-		name string
-		rate float64
-	}{{"drop", p.DropRate}, {"corrupt", p.CorruptRate}, {"lostwake", p.LostWakeRate}, {"allocfail", p.AllocFailRate}} {
-		if r.rate > 0 {
-			parts = append(parts, fmt.Sprintf("%s=%g", r.name, r.rate))
-		}
+	if p.LostWakeRate > 0 {
+		parts = append(parts, fmt.Sprintf("lostwake=%g", p.LostWakeRate))
 	}
 	for _, e := range p.Events {
 		s := fmt.Sprintf("%s@%s:%d", e.Kind, fmtDur(e.At), e.Arg)
@@ -150,11 +124,10 @@ func fmtDur(t sim.Time) string {
 }
 
 // Parse reads a plan from its compact directive syntax: semicolon-
-// separated terms, each either a rate (`drop=0.05`, `corrupt=0.01`,
-// `lostwake=0.02`, `allocfail=0.1`), the RNG seed (`seed=42`), or a
-// scheduled fault `kind@time:arg` with time suffixed ns/us/ms/s —
-// e.g. `cpu-offline@2ms:3`, `crash@1ms:1`, `irq-storm@500us:0+2ms`
-// (the `+dur` suffix gives the storm length).
+// separated terms, each either the lost-wake rate (`lostwake=0.02`),
+// the RNG seed (`seed=42`), or a scheduled fault `kind@time:arg` with
+// time suffixed ns/us/ms/s — e.g. `cpu-offline@2ms:3`, `cu-offline@1ms:1`,
+// `irq-storm@500us:0+2ms` (the `+dur` suffix gives the storm length).
 //
 // A malformed plan fails with an error naming the offending term and
 // its byte offset in the input, so a long plan assembled by tooling
@@ -215,18 +188,10 @@ func (p *Plan) setRate(k, v string) error {
 	if err != nil || !(f >= 0 && f <= 1) { // NaN fails both comparisons
 		return fmt.Errorf("bad rate value %q for %q (want a number in [0,1])", v, k)
 	}
-	switch k {
-	case "drop":
-		p.DropRate = f
-	case "corrupt":
-		p.CorruptRate = f
-	case "lostwake":
-		p.LostWakeRate = f
-	case "allocfail":
-		p.AllocFailRate = f
-	default:
-		return fmt.Errorf("unknown rate name %q (want drop, corrupt, lostwake, allocfail or seed)", k)
+	if k != "lostwake" {
+		return fmt.Errorf("unknown rate name %q (want lostwake or seed)", k)
 	}
+	p.LostWakeRate = f
 	return nil
 }
 
@@ -239,14 +204,12 @@ func parseEvent(term string) (Event, error) {
 	switch kindStr {
 	case "cpu-offline":
 		kind = CPUOffline
-	case "crash":
-		kind = CompartmentCrash
 	case "irq-storm":
 		kind = IRQStorm
 	case "cu-offline":
 		kind = CUOffline
 	default:
-		return Event{}, fmt.Errorf("unknown scheduled fault %q (want cpu-offline, cu-offline, crash or irq-storm)", kindStr)
+		return Event{}, fmt.Errorf("unknown scheduled fault %q (want cpu-offline, cu-offline or irq-storm)", kindStr)
 	}
 	timeStr, argStr, ok := strings.Cut(rest, ":")
 	if !ok {
@@ -270,7 +233,7 @@ func parseEvent(term string) (Event, error) {
 	}
 	ev.Arg, err = strconv.Atoi(argStr)
 	if err != nil {
-		return Event{}, fmt.Errorf("bad arg %q (want an integer CPU or compartment id)", argStr)
+		return Event{}, fmt.Errorf("bad arg %q (want an integer CPU or CU id)", argStr)
 	}
 	return ev, nil
 }
@@ -299,14 +262,11 @@ func parseDur(s string) (sim.Time, error) {
 }
 
 // Handlers receives scheduled faults. A nil field means that fault kind
-// is ignored (counted but with no effect).
+// is ignored (counted but with no effect). IRQ storms need no handler:
+// the engine steals the CPU time directly from the simulated timeline.
 type Handlers struct {
-	CPUOffline       func(cpu int)
-	CUOffline        func(cu int)
-	CompartmentCrash func(id int)
-	// IRQStorm is optional; when nil the engine applies its built-in
-	// storm, stealing CPU time directly from the simulated timeline.
-	IRQStorm func(cpu int, dur sim.Time)
+	CPUOffline func(cpu int)
+	CUOffline  func(cu int)
 }
 
 // Engine instantiates a Plan against one simulator run.
@@ -354,16 +314,8 @@ func (e *Engine) Arm(h Handlers) {
 				if h.CUOffline != nil {
 					h.CUOffline(ev.Arg)
 				}
-			case CompartmentCrash:
-				if h.CompartmentCrash != nil {
-					h.CompartmentCrash(ev.Arg)
-				}
 			case IRQStorm:
-				if h.IRQStorm != nil {
-					h.IRQStorm(ev.Arg, ev.Dur)
-				} else {
-					e.stormCPU(ev.Arg, ev.Dur)
-				}
+				e.stormCPU(ev.Arg, ev.Dur)
 			}
 		})
 	}
@@ -405,17 +357,8 @@ func (e *Engine) roll(k Kind, r float64) bool {
 	return true
 }
 
-// DropFrame reports whether the NIC should drop the next frame.
-func (e *Engine) DropFrame() bool { return e.roll(FrameDrop, e.Plan.DropRate) }
-
-// CorruptFrame reports whether the NIC should corrupt the next frame.
-func (e *Engine) CorruptFrame() bool { return e.roll(FrameCorrupt, e.Plan.CorruptRate) }
-
 // LoseWake reports whether the next futex wake should be dropped.
 func (e *Engine) LoseWake() bool { return e.roll(LostWake, e.Plan.LostWakeRate) }
-
-// FailAlloc reports whether the next kernel allocation should fail.
-func (e *Engine) FailAlloc() bool { return e.roll(AllocFail, e.Plan.AllocFailRate) }
 
 // InjectedTotal returns the total number of faults delivered.
 func (e *Engine) InjectedTotal() int64 {
@@ -424,20 +367,4 @@ func (e *Engine) InjectedTotal() int64 {
 		n += c
 	}
 	return n
-}
-
-// Summary renders delivered-fault counts in a fixed kind order (for
-// deterministic report output).
-func (e *Engine) Summary() string {
-	kinds := []Kind{CPUOffline, CUOffline, CompartmentCrash, IRQStorm, FrameDrop, FrameCorrupt, LostWake, AllocFail}
-	var parts []string
-	for _, k := range kinds {
-		if n := e.Injected[k]; n > 0 {
-			parts = append(parts, fmt.Sprintf("%s=%d", k, n))
-		}
-	}
-	if len(parts) == 0 {
-		return "no faults delivered"
-	}
-	return strings.Join(parts, " ")
 }

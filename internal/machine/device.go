@@ -77,7 +77,7 @@ func DefaultDevice(cus, lanes int) *Device {
 
 // WithDevice attaches the reference accelerator at the given geometry to
 // a host machine model, composing with any host constructor
-// (PHI/XEON8/BigIron). It returns the same machine for chaining.
+// (PHI/XEON8). It returns the same machine for chaining.
 func WithDevice(m *Machine, cus, lanes int) *Machine {
 	m.Dev = DefaultDevice(cus, lanes)
 	return m

@@ -247,47 +247,3 @@ func ByName(name string) (*Machine, error) {
 	}
 	return nil, fmt.Errorf("unknown machine %q (want PHI or 8XEON)", name)
 }
-
-// BigIron synthesizes a scaled-out Xeon-class machine with the given
-// socket count and cores per socket — the hypothetical wider topologies
-// (e.g. 16×64 = 1024 cores) the DES core must sustain for the scale
-// studies beyond the paper's 8XEON. Per-socket characteristics mirror
-// XEON8; only the fabric is wider.
-func BigIron(sockets, coresPerSocket int) *Machine {
-	ncpu := sockets * coresPerSocket
-	m := &Machine{
-		Name:            fmt.Sprintf("BIGIRON%d", ncpu),
-		Sockets:         sockets,
-		CoresPerSocket:  coresPerSocket,
-		GHz:             2.1,
-		LocalLatencyNS:  80,
-		RemoteLatencyNS: 135,
-		FarLatencyNS:    200,
-		TLBs: []TLB{
-			{PageSize: 4 << 10, Entries: 1536},
-			{PageSize: 2 << 20, Entries: 1536},
-			{PageSize: 1 << 30, Entries: 16},
-		},
-		Scales: []int{1, coresPerSocket, ncpu / 4, ncpu / 2, ncpu},
-	}
-	for s := 0; s < sockets; s++ {
-		m.Zones = append(m.Zones, Zone{
-			ID:    s,
-			Kind:  DRAM,
-			Bytes: 96 << 30,
-			CPUs:  cpuRange(s*coresPerSocket, coresPerSocket),
-		})
-	}
-	m.Distance = make([][]int, sockets)
-	for i := range m.Distance {
-		m.Distance[i] = make([]int, sockets)
-		for j := range m.Distance[i] {
-			if i == j {
-				m.Distance[i][j] = 10
-			} else {
-				m.Distance[i][j] = 21
-			}
-		}
-	}
-	return m
-}

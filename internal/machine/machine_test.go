@@ -77,32 +77,6 @@ func TestByName(t *testing.T) {
 	}
 }
 
-func TestBigIronTopology(t *testing.T) {
-	m := BigIron(16, 64)
-	if m.NumCPUs() != 1024 {
-		t.Fatalf("BigIron(16,64) CPUs = %d, want 1024", m.NumCPUs())
-	}
-	if m.Name != "BIGIRON1024" {
-		t.Fatalf("name = %q, want BIGIRON1024", m.Name)
-	}
-	if len(m.DRAMZones()) != 16 {
-		t.Fatalf("DRAM zones = %d, want 16", len(m.DRAMZones()))
-	}
-	if got := m.SocketOf(1023); got != 15 {
-		t.Fatalf("SocketOf(1023) = %d, want 15", got)
-	}
-	if got := m.ZoneOf(64); got != 1 {
-		t.Fatalf("ZoneOf(64) = %d, want 1", got)
-	}
-	if m.Scales[len(m.Scales)-1] != 1024 {
-		t.Fatal("BigIron sweep must end at 1024 CPUs")
-	}
-	// Off-socket access must hit the remote tier, same as 8XEON.
-	if got := m.LatencyNS(0, 15); got != m.RemoteLatencyNS {
-		t.Fatalf("cross-socket latency = %v, want %v", got, m.RemoteLatencyNS)
-	}
-}
-
 func TestLatency(t *testing.T) {
 	m := XEON8()
 	local := m.LatencyNS(0, 0)

@@ -62,8 +62,8 @@ func (s *Spec) baseNS(m *machine.Machine) float64 {
 	mult := core.Multiplier(m, core.Linux, linuxsim.PageSize, 1, s.memProfile(m, 1), 0)
 	// The paper's t includes the one-time demand-paging fault-in, which
 	// the runner charges separately; remove it from the compute base.
-	faultNS := float64(s.WorkingSetBytes) / linuxsim.PageSize * linuxsim.PageFaultNS
-	return (p.TimeSec*1e9 - faultNS) / mult
+	faultNS := float64(float64(s.WorkingSetBytes) / linuxsim.PageSize * linuxsim.PageFaultNS)
+	return (float64(p.TimeSec*1e9) - faultNS) / mult
 }
 
 // Program builds the cck IR for this benchmark on a machine for a given

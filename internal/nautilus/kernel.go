@@ -39,17 +39,6 @@ const (
 type Config struct {
 	Machine *machine.Machine
 	Seed    int64
-	// Sim, if non-nil, boots the kernel onto an existing simulator (the
-	// multi-kernel configuration of §7: Nautilus sharing the machine
-	// with another kernel). The kernel then only applies its noise model
-	// to its own CPU set.
-	Sim *sim.Sim
-	// CPUs restricts the kernel to a CPU subset (nil: all CPUs). The
-	// scheduler, task system, and noise model honor it.
-	CPUs []int
-	// ZoneBudget caps the buddy allocator bytes per zone id (0: the
-	// whole zone) — the space partitioning of a co-kernel deployment.
-	ZoneBudget map[int]int64
 	// Costs is the kernel primitive cost table (used by the exec layer).
 	Costs exec.Costs
 	// Noise is the interference model; nil means NautilusNoise with
@@ -63,10 +52,6 @@ type Config struct {
 	// image (RTK/CCK gigabyte-size globals problem, §6.2). It is
 	// resident at boot.
 	BootImageBytes int64
-	// AllocFail, if non-nil, is consulted on every KAlloc; returning true
-	// fails that allocation with a caller-visible error (fault
-	// injection: transient allocator exhaustion).
-	AllocFail func() bool
 }
 
 // ShellCmd is a kernel shell command. In RTK the application's main() is
@@ -93,77 +78,26 @@ type Kernel struct {
 	nextTID    int
 	bootImg    *memsim.Region
 	firstTouch bool
-	allocFail  func() bool
-
-	// InjectedAllocFails counts KAllocs failed by the AllocFail hook.
-	InjectedAllocFails int64
-
-	// CPUs is the kernel's CPU set (nil: the whole machine) — restricted
-	// in multi-kernel configurations (§7).
-	CPUs []int
-	// BootNS is the modeled boot time of this kernel instance.
-	BootNS int64
 
 	// Features toggled by the RTK/PIK ports.
 	LazyFPU       bool // lazy SSE save/restore on interrupts (§3.4)
 	ISTTrampoline bool // PIK: copy interrupt frame past the red zone (§4.2)
 }
 
-// NumCPUs returns the kernel's CPU count (its subset in a multi-kernel
-// configuration, the machine otherwise).
-func (k *Kernel) NumCPUs() int {
-	if len(k.CPUs) > 0 {
-		return len(k.CPUs)
-	}
-	return k.Machine.NumCPUs()
-}
+// NumCPUs returns the kernel's CPU count: the whole machine.
+func (k *Kernel) NumCPUs() int { return k.Machine.NumCPUs() }
 
-// OwnsCPU reports whether the kernel's partition includes the CPU.
-func (k *Kernel) OwnsCPU(cpu int) bool {
-	if len(k.CPUs) == 0 {
-		return true
-	}
-	for _, c := range k.CPUs {
-		if c == cpu {
-			return true
-		}
-	}
-	return false
-}
-
-// BootCost models the specialized kernel's startup: a fixed firmware/
-// init path plus per-CPU bringup plus boot-image placement — the
-// "milliseconds" scale §7 compares to Linux process creation.
-func BootCost(cpus int, imageBytes int64) int64 {
-	const baseNS = 2_500_000 // 2.5 ms: early init, paging, IRQ setup
-	const perCPUNS = 18_000  // INIT/SIPI + per-CPU state
-	const perMBNS = 9_000    // image copy into place
-	return baseNS + int64(cpus)*perCPUNS + imageBytes/(1<<20)*perMBNS
-}
-
-// Boot creates and boots a kernel — over a fresh simulator, or onto an
-// existing one when Config.Sim is set (the multi-kernel deployment).
+// Boot creates a simulator of the machine and boots a kernel on it.
 func Boot(cfg Config) *Kernel {
 	if cfg.Machine == nil {
 		panic("nautilus: Boot without machine")
 	}
-	s := cfg.Sim
-	fresh := s == nil
-	if fresh {
-		s = sim.New(cfg.Machine.NumCPUs(), cfg.Seed)
-	}
+	s := sim.New(cfg.Machine.NumCPUs(), cfg.Seed)
 	noise := cfg.Noise
 	if noise == nil {
 		noise = NewNautilusNoise(cfg.Machine)
 	}
-	if fresh {
-		s.SetNoise(noise)
-	} else {
-		// Shared machine: only this kernel's CPUs get its noise model.
-		for _, c := range cfg.CPUs {
-			s.CPU(c).Noise = noise
-		}
-	}
+	s.SetNoise(noise)
 
 	// Identity paging with the largest possible page size; everything is
 	// mapped at boot, so faults never occur (§2.1).
@@ -184,26 +118,16 @@ func Boot(cfg Config) *Kernel {
 		shell:      make(map[string]ShellCmd),
 		threads:    make(map[int]*KThread),
 		firstTouch: cfg.FirstTouch,
-		allocFail:  cfg.AllocFail,
 	}
 	for _, z := range cfg.Machine.Zones {
 		if z.Kind == machine.DRAM && len(z.CPUs) > 0 {
-			budget := z.Bytes
-			if b, ok := cfg.ZoneBudget[z.ID]; ok && b > 0 && b < budget {
-				budget = b
-			}
-			b, err := memsim.NewBuddy(budget)
+			b, err := memsim.NewBuddy(z.Bytes)
 			if err != nil {
-				// A zone whose budget cannot hold one block simply gets no
-				// allocator: KAlloc on its CPUs reports "no allocator for
-				// zone" instead of the whole boot crashing.
-				continue
+				panic(fmt.Sprintf("nautilus: zone %d: %v", z.ID, err))
 			}
 			k.Buddies[z.ID] = b
 		}
 	}
-	k.CPUs = append([]int(nil), cfg.CPUs...)
-	k.BootNS = BootCost(k.NumCPUs(), cfg.BootImageBytes)
 	if cfg.BootImageBytes > 0 {
 		k.bootImg = as.Alloc("boot-image", cfg.BootImageBytes, 0)
 		// The boot image is carved out of zone 0's allocator.
@@ -270,10 +194,6 @@ func (k *Kernel) KAlloc(tc exec.TC, name string, size int64, cpu int) (*memsim.R
 	b := k.Buddies[zone]
 	if b == nil {
 		return nil, fmt.Errorf("nautilus: no allocator for zone %d", zone)
-	}
-	if k.allocFail != nil && k.allocFail() {
-		k.InjectedAllocFails++
-		return nil, fmt.Errorf("nautilus: zone %d allocation of %d bytes failed (injected fault)", zone, size)
 	}
 	if _, ok := b.Alloc(size); !ok {
 		return nil, fmt.Errorf("nautilus: zone %d out of memory for %d bytes", zone, size)

@@ -248,6 +248,56 @@ func TestTaskgroupPanicRuntimeStillUsable(t *testing.T) {
 	}
 }
 
+// TestKillInsideTaskgroupMember kills a thread (sim.Kill, a hard fault)
+// while it is inside a taskgroup member body with cancellation on. The
+// runtime contains panics of member tasks (it cancels the group and
+// re-raises at the end of the construct), but the unwinding of a killed
+// thread is not a panic of user code: the thread must die where it
+// stands, with no group cancelled on its behalf and no runtime code
+// executed by a dead thread.
+func TestKillInsideTaskgroupMember(t *testing.T) {
+	s := sim.New(2, 1)
+	layer := exec.NewSimLayer(s, simCosts())
+	cancels := 0
+	spine := ompt.NewSpine().On(func(ompt.Event) { cancels++ }, ompt.Cancel)
+	rt := New(layer, Options{Cancellation: true, Spine: spine})
+	inBody, survived, deferred := false, false, false
+	var job *sim.Proc
+	_, err := layer.Run(func(tc exec.TC) {
+		tc.Spawn("job", 1, func(jtc exec.TC) {
+			job = jtc.(exec.ProcHolder).Proc()
+			rt.Parallel(jtc, 1, func(w *Worker) {
+				w.Taskgroup(func(w *Worker) {
+					w.TaskIf(false, func(w *Worker) {
+						defer func() { deferred = true }()
+						inBody = true
+						w.TC().Charge(50_000_000) // dies mid-flight
+						survived = true
+					})
+				})
+				survived = true
+			})
+		})
+		s.At(s.Now()+1_000_000, func() { s.Kill(job) })
+		tc.Charge(5_000_000)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !inBody || survived {
+		t.Fatalf("inBody=%v survived=%v: the thread must die inside the member body", inBody, survived)
+	}
+	if !deferred {
+		t.Fatal("deferred call in the member body did not run while the thread unwound")
+	}
+	if job.State() != sim.StateDone {
+		t.Fatalf("killed thread is %v, want done", job.State())
+	}
+	if cancels != 0 {
+		t.Fatalf("%d cancel event(s): the kill was recorded as a member-task panic", cancels)
+	}
+}
+
 // TestRegionDeadlineCancels: a region that overruns KOMP_REGION_DEADLINE
 // is cancelled by the deadline alarm and joins with a partial result; a
 // region that finishes in time is untouched and the stopped alarm leaves

@@ -593,8 +593,7 @@ func (s *Sim) deadlockError() error {
 }
 
 // Procs returns the live (not yet done) procs, sorted by ID. It is meant
-// for diagnostics and fault injection (e.g. crashing a kernel
-// compartment kills every proc on its CPUs).
+// for diagnostics and fault injection (picking the procs to Kill).
 func (s *Sim) Procs() []*Proc {
 	out := append([]*Proc(nil), s.procs...)
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
@@ -604,7 +603,7 @@ func (s *Sim) Procs() []*Proc {
 // Kill condemns a proc: instead of resuming at its next scheduling
 // point, it exits. A blocked proc is extracted from its wait queue and
 // scheduled to die now; a runnable proc dies at dispatch. Kill models
-// hard faults (a crashed kernel compartment, a failed CPU) — the victim
+// hard faults (a failed CPU, a crashed kernel) — the victim
 // gets no chance to clean up, exactly like real hardware.
 func (s *Sim) Kill(p *Proc) {
 	if p == nil || p.state == StateDone || p.killed {
@@ -707,7 +706,7 @@ func (p *Proc) Park() {
 }
 
 // ParkReason is Park with an explicit wait reason for diagnostics (e.g.
-// "futex 0xc0000140a0" or "mpi recv tag=3"). The reason appears in
+// "futex 0xc0000140a0" or "lost wake"). The reason appears in
 // watchdog and deadlock reports.
 func (p *Proc) ParkReason(reason string) {
 	p.mustBeRunning()

@@ -30,7 +30,7 @@ func StdDev(xs []float64) float64 {
 	var ss float64
 	for _, x := range xs {
 		d := x - m
-		ss += d * d
+		ss += float64(d * d)
 	}
 	return math.Sqrt(ss / float64(n-1))
 }
@@ -94,14 +94,14 @@ func Percentile(xs []float64, p float64) float64 {
 	if p >= 100 {
 		return ys[len(ys)-1]
 	}
-	rank := p / 100 * float64(len(ys)-1)
+	rank := float64(p / 100 * float64(len(ys)-1))
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
 		return ys[lo]
 	}
 	frac := rank - float64(lo)
-	return ys[lo]*(1-frac) + ys[hi]*frac
+	return float64(ys[lo]*(1-frac)) + float64(ys[hi]*frac)
 }
 
 // Summary bundles the descriptive statistics the EPCC harness reports.
