@@ -5,7 +5,7 @@
 # shared by every Sim of the process.
 RACE_PKGS = . ./internal/omp/ ./internal/exec/ ./internal/tenancy/ ./internal/device/ ./internal/sim/
 
-.PHONY: verify build test vet staticcheck race fma-scan race-stress fuzz-smoke figures bench-smoke bench-diff trace-smoke loc
+.PHONY: verify build test vet staticcheck race fma-scan race-stress fuzz-smoke figures bench-smoke pin-check bench-diff trace-smoke loc
 
 verify: build vet staticcheck test race fma-scan
 
@@ -87,6 +87,24 @@ bench-smoke:
 	done
 	@cmp $(SMOKE)/run1.txt $(SMOKE)/run2.txt && \
 		echo "bench-smoke: two runs byte-identical"
+
+# pin-check holds the checked-in full-scale artifacts to the code: it
+# regenerates `kompbench -ablation all` (~3 s) and compares it byte for
+# byte with ABLATIONS.txt, then every figure (`kompbench`, ~90 s on 2
+# vCPUs) with FIGURES.txt minus its "[figN regenerated in ...]"
+# wall-clock lines. A change that moves an artifact fails here until the
+# file is regenerated. The binary and outputs land in
+# .bench_build/pin-check/ (gitignored).
+PIN = .bench_build/pin-check
+
+pin-check:
+	@mkdir -p $(PIN)
+	@go build -o $(PIN)/kompbench ./cmd/kompbench
+	@$(PIN)/kompbench -ablation all >$(PIN)/ablations.txt 2>/dev/null
+	@cmp ABLATIONS.txt $(PIN)/ablations.txt
+	@$(PIN)/kompbench >$(PIN)/figures.txt 2>/dev/null
+	@grep -v '^\[fig[0-9]* regenerated in ' FIGURES.txt | cmp - $(PIN)/figures.txt
+	@echo "pin-check: ABLATIONS.txt and FIGURES.txt match the code"
 
 # bench-diff compares every deterministic kompbench artifact — the
 # -quick figures, all -quick ablations (faults included), the profile,

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 )
@@ -142,16 +143,47 @@ func TestCCKRelFiguresQuick(t *testing.T) {
 	}
 }
 
+// TestFig7QuickRuns runs each EPCC figure (7, 8 and 13) at -quick: all
+// four suites print a table with a column per environment, and the
+// Recorder holds the same number of rows for every environment.
 func TestFig7QuickRuns(t *testing.T) {
-	var b strings.Builder
-	if err := Fig7(&b, Options{Quick: true}); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{"ARRAY", "SCHEDULE", "SYNCH", "TASK", "BARRIER", "DYNAMIC_1"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("fig7 missing %q", want)
-		}
+	for _, tc := range []struct {
+		id   string
+		fig  func(io.Writer, Options) error
+		envs []string
+	}{
+		{"fig7", Fig7, []string{"linux-omp", "rtk"}},
+		{"fig8", Fig8, []string{"linux-omp", "pik"}},
+		{"fig13", Fig13, []string{"linux-omp", "rtk", "pik"}},
+	} {
+		t.Run(tc.id, func(t *testing.T) {
+			rec := &Recorder{}
+			var b strings.Builder
+			if err := tc.fig(&b, Options{Quick: true, Recorder: rec}); err != nil {
+				t.Fatal(err)
+			}
+			out := b.String()
+			for _, want := range []string{"(ARRAY)", "(SCHEDULE)", "(SYNCH)", "(TASK)", "BARRIER", "DYNAMIC_1"} {
+				if !strings.Contains(out, want) {
+					t.Errorf("%s missing %q", tc.id, want)
+				}
+			}
+			rows := map[string]int{}
+			for _, r := range rec.Records {
+				rows[r.Env]++
+			}
+			if len(rows) != len(tc.envs) {
+				t.Errorf("%s recorded environments %v, want %v", tc.id, rows, tc.envs)
+			}
+			for _, env := range tc.envs {
+				if !strings.Contains(out, env+" us") {
+					t.Errorf("%s missing the %q column", tc.id, env+" us")
+				}
+				if rows[env] == 0 || rows[env] != rows[tc.envs[0]] {
+					t.Errorf("%s recorded %v rows per environment, want one equal non-zero count", tc.id, rows)
+				}
+			}
+		})
 	}
 }
 

@@ -6,9 +6,9 @@ import (
 
 	"github.com/interweaving/komp/internal/core"
 	"github.com/interweaving/komp/internal/exec"
-	"github.com/interweaving/komp/internal/fault"
 	"github.com/interweaving/komp/internal/machine"
 	"github.com/interweaving/komp/internal/omp"
+	"github.com/interweaving/komp/internal/sim"
 )
 
 // AblationCancel is the cancellation study. Section one measures
@@ -17,7 +17,7 @@ import (
 // cancellation point and left the region — across 8XEON team sizes, for
 // the flat central-word poll against the barrier-tree propagation.
 // Section two composes cancellation with the resilience machinery: a
-// region deadline and a CPU-offline fault plan land on the same join,
+// region deadline and a scheduled CPU offline land on the same join,
 // and the loop must abort gracefully with a clean partial result (every
 // completed chunk counted exactly once, survivors converged). All
 // numbers are virtual-time derived, so the report is byte-identical
@@ -117,25 +117,23 @@ func cancelFaultCompose(w io.Writer, opt Options) error {
 	const deadlineNS = 800_000 // fires mid-loop at both scales
 	type scenario struct {
 		label, plan string
+		faults      faultPlan
 		deadline    int64
 	}
+	off := []cpuOffline{{400 * sim.Microsecond, 5}}
 	scenarios := []scenario{
-		{"none", "none", 0},
-		{"deadline", "none", deadlineNS},
-		{"deadline+off", "cpu-offline@400us:5", deadlineNS},
-		{"deadline+storm", "cpu-offline@400us:5;irq-storm@200us:2+1ms", deadlineNS},
+		{"none", "none", faultPlan{}, 0},
+		{"deadline", "none", faultPlan{}, deadlineNS},
+		{"deadline+off", "cpu-offline@400us:5", faultPlan{offline: off}, deadlineNS},
+		{"deadline+storm", "cpu-offline@400us:5;irq-storm@200us:2+1ms",
+			faultPlan{offline: off, storm: &irqStorm{at: 200 * sim.Microsecond, dur: sim.Millisecond, cpu: 2}}, deadlineNS},
 	}
 
 	fmt.Fprintf(w, "Fault-composed abort: EP-style loop, %d threads, %d chunks of 50us (Resilient + OMP_CANCELLATION on)\n", faultThreads, iters)
 	fmt.Fprintf(w, "%-16s %-40s %10s %9s %9s %10s\n", "scenario", "plan", "chunks", "clean", "alive", "time(ms)")
 
 	for i, sc := range scenarios {
-		plan, err := fault.Parse(sc.plan)
-		if err != nil {
-			return err
-		}
-		plan.Seed = opt.seed() + int64(i)
-		marks, alive, _, elapsed, err := epUnderFaults(opt.seed(), plan, iters,
+		marks, alive, _, elapsed, err := epUnderFaults(opt.seed(), sc.faults, opt.seed()+int64(i), iters,
 			omp.Options{Cancellation: true, RegionDeadlineNS: sc.deadline})
 		if err != nil {
 			return err

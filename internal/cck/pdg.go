@@ -154,9 +154,6 @@ func conflict(a, b Node) (string, bool) {
 	return "", false
 }
 
-// Preds returns the indices node i depends on.
-func (g *PDG) Preds(i int) []int { return g.preds[i] }
-
 // Independent reports whether nodes i and j have no path between them
 // (directly or transitively), i.e. they may execute concurrently.
 func (g *PDG) Independent(i, j int) bool {

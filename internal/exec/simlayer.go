@@ -37,23 +37,14 @@ func NewSimLayer(s *sim.Sim, costs Costs) *SimLayer {
 // NumCPUs returns the simulator's CPU count.
 func (l *SimLayer) NumCPUs() int { return l.Sim.NumCPU() }
 
-// Futexes exposes the layer's futex table for diagnostics and fault
-// injection (lost-wake hooks, timed-recheck recovery).
-func (l *SimLayer) Futexes() *sim.FutexTable { return l.ft }
-
 // FaultFutex installs a lost-wake fault on the layer's futex table and
 // arms the timed-recheck recovery path: lose is consulted per delivered
 // wake (true drops it), and blocked waiters re-check their word every
 // recheckNS of virtual time so a dropped wake stalls the waiter instead
-// of hanging it forever. Either argument may be zero-valued to leave that
-// half untouched.
+// of hanging it forever.
 func (l *SimLayer) FaultFutex(lose func() bool, recheckNS int64) {
-	if lose != nil {
-		l.ft.LoseWake = lose
-	}
-	if recheckNS > 0 {
-		l.ft.SetRecheck(recheckNS, 0)
-	}
+	l.ft.LoseWake = lose
+	l.ft.SetRecheck(recheckNS, 0)
 }
 
 // Costs returns the environment cost table.

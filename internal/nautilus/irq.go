@@ -84,9 +84,6 @@ func (c *IRQController) Steer(cpus ...int) {
 	}
 }
 
-// Steerable reports whether a CPU accepts device interrupts.
-func (c *IRQController) Steerable(cpu int) bool { return c.steerMask[cpu] }
-
 // Fire delivers the named interrupt on a CPU at the current virtual time.
 // It steals the handler's path length from the CPU timeline and applies
 // the FPU and red zone interactions. It returns the total time consumed

@@ -213,6 +213,3 @@ func (ts *TaskSystem) workerLoop(tc exec.TC, cpu int) {
 		tc.FutexWait(&q.word, 0)
 	}
 }
-
-// QueueLen returns the pending count on a CPU's queue (for tests).
-func (ts *TaskSystem) QueueLen(cpu int) int { return len(ts.queues[cpu].tasks) }

@@ -7,7 +7,6 @@ import (
 
 	"github.com/interweaving/komp/internal/device"
 	"github.com/interweaving/komp/internal/exec"
-	"github.com/interweaving/komp/internal/fault"
 	"github.com/interweaving/komp/internal/machine"
 	"github.com/interweaving/komp/internal/sim"
 )
@@ -240,15 +239,11 @@ func TestTargetNowaitDependOrdering(t *testing.T) {
 }
 
 // TestOffloadFaultComposition is the KOMP_RESILIENT offload regression:
-// a scheduled cu-offline fault plan degrades the league — the dead CU's
+// a CU taken offline mid-kernel degrades the league — the dead CU's
 // blocks re-deal to the survivors, the reduction stays exact and the run
 // terminates — and losing every CU surfaces ErrDeviceLost instead of a
 // hang.
 func TestOffloadFaultComposition(t *testing.T) {
-	plan, err := fault.Parse("cu-offline@200us:1")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var o Options
 	if err := o.Env(envOf(map[string]string{"KOMP_RESILIENT": "1", "KOMP_DEVICE": "4,8"})); err != nil {
 		t.Fatal(err)
@@ -258,14 +253,13 @@ func TestOffloadFaultComposition(t *testing.T) {
 	l := exec.NewSimLayer(s, simCosts())
 	rt := New(l, o)
 	d := rt.Device()
-	eng := fault.New(s, plan)
-	eng.Arm(fault.Handlers{CUOffline: d.OfflineCU})
+	s.At(200*sim.Microsecond, func() { d.OfflineCU(1) })
 
 	a, want := targetInput(1 << 14)
 	k := targetSumKernel(d, a, 800)
 	k.Chunk = 64
 	var res device.Result
-	_, err = l.Run(func(tc exec.TC) {
+	_, err := l.Run(func(tc exec.TC) {
 		var terr error
 		res, terr = rt.Target(tc, []device.Map{device.MapTofrom(a)}, k)
 		if terr != nil {
@@ -280,35 +274,28 @@ func TestOffloadFaultComposition(t *testing.T) {
 		t.Errorf("reduced %v under cu-offline, want %v", res.Reduced, want)
 	}
 	if res.Redealt == 0 {
-		t.Error("fault plan injected no re-deal (offline time missed the kernel)")
-	}
-	if eng.Injected[fault.CUOffline] != 1 {
-		t.Errorf("injected %d cu-offline faults, want 1", eng.Injected[fault.CUOffline])
+		t.Error("no re-deal (offline time missed the kernel)")
 	}
 	if d.OnlineCUs() != 3 {
 		t.Errorf("OnlineCUs = %d, want 3", d.OnlineCUs())
 	}
 }
 
-// TestOffloadAllCUsLostDegrades: a plan that kills every CU makes the
+// TestOffloadAllCUsLostDegrades: taking every CU offline makes the
 // target region return ErrDeviceLost — composed faults degrade, never
 // hang.
 func TestOffloadAllCUsLostDegrades(t *testing.T) {
-	plan, err := fault.Parse("cu-offline@100us:0;cu-offline@150us:1")
-	if err != nil {
-		t.Fatal(err)
-	}
 	s := sim.New(4, 1)
 	l := exec.NewSimLayer(s, simCosts())
 	rt := New(l, Options{MaxThreads: 2, Resilient: true, DeviceCUs: 2, DeviceLanes: 4})
 	d := rt.Device()
-	eng := fault.New(s, plan)
-	eng.Arm(fault.Handlers{CUOffline: d.OfflineCU})
+	s.At(100*sim.Microsecond, func() { d.OfflineCU(0) })
+	s.At(150*sim.Microsecond, func() { d.OfflineCU(1) })
 
 	a, _ := targetInput(1 << 14)
 	k := targetSumKernel(d, a, 800)
 	k.Chunk = 64
-	_, err = l.Run(func(tc exec.TC) {
+	_, err := l.Run(func(tc exec.TC) {
 		_, terr := rt.Target(tc, []device.Map{device.MapTofrom(a)}, k)
 		if terr != device.ErrDeviceLost {
 			t.Errorf("Target = %v, want ErrDeviceLost", terr)

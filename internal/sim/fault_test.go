@@ -51,7 +51,7 @@ func TestWatchdogFlagsStalledProc(t *testing.T) {
 	s.SetWatchdog(1000)
 	s.Go("stuck", 0, 0, func(p *Proc) {
 		p.Compute(10)
-		p.ParkReason("lost wake")
+		p.Park()
 	})
 	// A live proc keeps the event queue busy well past the deadline.
 	s.Go("spinner", 1, 0, func(p *Proc) {
@@ -73,8 +73,8 @@ func TestWatchdogFlagsStalledProc(t *testing.T) {
 	if len(se.Stalled) != 1 || se.Stalled[0].Name != "stuck" {
 		t.Fatalf("stalled = %+v, want just 'stuck'", se.Stalled)
 	}
-	if se.Stalled[0].Reason != "lost wake" {
-		t.Fatalf("reason = %q, want 'lost wake'", se.Stalled[0].Reason)
+	if se.Stalled[0].Reason != "park" {
+		t.Fatalf("reason = %q, want 'park'", se.Stalled[0].Reason)
 	}
 	if !strings.Contains(err.Error(), "watchdog") {
 		t.Fatalf("message lacks 'watchdog': %s", err)

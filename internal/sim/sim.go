@@ -145,16 +145,6 @@ func (p *Proc) SetCPU(cpu int) {
 // State reports the proc's current state.
 func (p *Proc) State() ProcState { return p.state }
 
-// WaitReason describes what a blocked proc is waiting on ("" while
-// runnable or running).
-func (p *Proc) WaitReason() string { return p.waitReason }
-
-// BlockedSince returns the virtual time at which a blocked proc blocked.
-func (p *Proc) BlockedSince() Time { return p.blockedSince }
-
-// Killed reports whether the proc has been condemned by Kill.
-func (p *Proc) Killed() bool { return p.killed }
-
 // Now returns the proc's local virtual time.
 func (p *Proc) Now() Time { return p.now }
 
@@ -703,14 +693,6 @@ func (p *Proc) Yield() {
 func (p *Proc) Park() {
 	p.mustBeRunning()
 	p.block("park")
-}
-
-// ParkReason is Park with an explicit wait reason for diagnostics (e.g.
-// "futex 0xc0000140a0" or "lost wake"). The reason appears in
-// watchdog and deadlock reports.
-func (p *Proc) ParkReason(reason string) {
-	p.mustBeRunning()
-	p.block(reason)
 }
 
 // Unpark makes a parked proc runnable at virtual time at (clamped to now).
