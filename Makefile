@@ -5,7 +5,7 @@
 # shared by every Sim of the process.
 RACE_PKGS = . ./internal/omp/ ./internal/exec/ ./internal/tenancy/ ./internal/device/ ./internal/sim/
 
-.PHONY: verify build test vet staticcheck race fma-scan race-stress fuzz-smoke figures bench-smoke pin-check bench-diff trace-smoke loc
+.PHONY: verify build test vet staticcheck race fma-scan race-stress fuzz-smoke figures bench-smoke pin-check bench-diff trace-smoke loc reach
 
 verify: build vet staticcheck test race fma-scan
 
@@ -130,3 +130,10 @@ trace-smoke:
 # meant to simplify quotes before and after.
 loc:
 	@bash scripts/loc.sh
+
+# reach builds every main package of both modules with inlining off and
+# fails on a function of the root module that none of them links, unless
+# a line of scripts/reach-keep.txt keeps it with its reason; a keep line
+# that matches nothing fails too. Binaries land in .bench_build/reach/.
+reach:
+	@bash scripts/reach.sh

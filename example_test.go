@@ -200,21 +200,19 @@ func Example_targetData() {
 	// 512
 }
 
-// Map types decide what crosses at the end of a mapping: map(from:)
-// copies the device's copy back over the host data (here the device
-// never wrote it, so the host sees the freshly allocated zeroes),
-// map(tofrom:) round-trips it unchanged, and map(alloc:) moves nothing
-// either way.
+// Map types decide what crosses the link: map(to:) copies the host data
+// to the device when the mapping is created, map(alloc:) only reserves
+// device memory. Neither copies anything back, so the host data is left
+// as it was.
 func Example_mapTypes() {
 	o := komp.New(2, komp.WithDevice(4, 8))
 	defer o.Close()
 
-	from := []float64{1, 2, 3}
-	tofrom := []float64{4, 5, 6}
+	to := []float64{1, 2, 3}
 	alloc := []float64{7, 8, 9}
-	o.TargetData([]komp.Map{komp.MapFrom(from), komp.MapTofrom(tofrom), komp.MapAlloc(alloc)}, func() {})
-	fmt.Println(from, tofrom, alloc)
-	// Output: [0 0 0] [4 5 6] [7 8 9]
+	o.TargetData([]komp.Map{komp.MapTo(to), komp.MapAlloc(alloc)}, func() {})
+	fmt.Println(to, alloc)
+	// Output: [1 2 3] [7 8 9]
 }
 
 // OMP_DEFAULT_DEVICE=-1 is the host fallback: a target region runs on
@@ -232,7 +230,7 @@ func Example_hostFallback() {
 			}
 			return 0
 		}}
-	_, err := o.Target([]komp.Map{komp.MapTofrom(a)}, k)
+	_, err := o.Target([]komp.Map{komp.MapTo(a)}, k)
 	fmt.Println(a, err)
 	// Output: [2 4 6 8] <nil>
 }

@@ -143,7 +143,6 @@ type MemProfile struct {
 type Node interface {
 	NodeName() string
 	Reads() []Effect
-	isNode()
 }
 
 // Seq is a straight-line (sequential) region.
@@ -161,7 +160,6 @@ func (s *Seq) NodeName() string { return s.Name }
 
 // Reads returns the region's effects.
 func (s *Seq) Reads() []Effect { return s.Effects }
-func (s *Seq) isNode()         {}
 
 // Loop is a counted loop region, the unit AutoMP parallelizes.
 type Loop struct {
@@ -194,7 +192,6 @@ func (l *Loop) NodeName() string { return l.Name }
 
 // Reads returns the loop's effects.
 func (l *Loop) Reads() []Effect { return l.Effects }
-func (l *Loop) isNode()         {}
 
 // IterCost returns the estimated cost of iteration i.
 func (l *Loop) IterCost(i int) int64 {

@@ -17,10 +17,10 @@ func TestEnvConstructionAllKinds(t *testing.T) {
 		if e.Layer == nil || e.AS == nil {
 			t.Fatalf("%v: incomplete env", kind)
 		}
-		if kind.InKernel() && e.Kernel == nil {
+		if kind.row().inKernel && e.Kernel == nil {
 			t.Fatalf("%v: kernel env without kernel", kind)
 		}
-		if !kind.InKernel() && e.Kernel != nil {
+		if !kind.row().inKernel && e.Kernel != nil {
 			t.Fatalf("%v: user env with kernel", kind)
 		}
 	}
@@ -32,7 +32,7 @@ func TestLinuxEnvPagesAndNoise(t *testing.T) {
 		t.Fatalf("Linux page size = %d", e.PageSize)
 	}
 	r := e.AS.Alloc("heap", 1<<20, 0)
-	if cost := e.TouchCost(r, 0); cost <= 0 {
+	if cost := e.AS.Touch(r, 0, 0, r.Bytes); cost <= 0 {
 		t.Fatal("Linux must charge demand-paging faults")
 	}
 	elapsed, err := e.Layer.Run(func(tc exec.TC) { tc.Charge(50_000_000) })
@@ -50,7 +50,7 @@ func TestKernelEnvNoFaultsBigPages(t *testing.T) {
 		t.Fatalf("RTK page size = %d, want 1GiB identity", e.PageSize)
 	}
 	r := e.AS.Alloc("static", 1<<30, 0)
-	if cost := e.TouchCost(r, 0); cost != 0 {
+	if cost := e.AS.Touch(r, 0, 0, r.Bytes); cost != 0 {
 		t.Fatal("identity paging must not fault")
 	}
 	if !e.BootImageStatics {
@@ -187,7 +187,7 @@ func TestKindStrings(t *testing.T) {
 	if Linux.String() != "linux-omp" || CCK.String() != "nk-automp" {
 		t.Fatal("kind strings changed")
 	}
-	if !RTK.InKernel() || Linux.InKernel() {
-		t.Fatal("InKernel wrong")
+	if !RTK.row().inKernel || Linux.row().inKernel {
+		t.Fatal("inKernel wrong")
 	}
 }

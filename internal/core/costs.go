@@ -49,7 +49,6 @@ func kernelCosts(m *machine.Machine) exec.Costs {
 		// The buddy allocator has no thread-local magazine layer
 		// (§6.1's "experiences kernel memory allocation directly").
 		MallocNS: scale2(200),
-		FreeNS:   scale2(140),
 
 		TLSAccessNS:    scale(4),
 		SyscallExtraNS: 0, // there is no syscall boundary at all
@@ -78,7 +77,6 @@ func pikCosts(m *machine.Machine) exec.Costs {
 
 		// glibc malloc emulated over kernel mmap.
 		MallocNS: scale(210),
-		FreeNS:   scale(150),
 
 		TLSAccessNS:    scale(4),
 		SyscallExtraNS: scale(130),

@@ -110,12 +110,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// InKernel reports whether the environment executes in kernel mode.
-func (k Kind) InKernel() bool {
-	r := k.row()
-	return r != nil && r.inKernel
-}
-
 // Config tunes environment construction.
 type Config struct {
 	Machine *machine.Machine
@@ -315,9 +309,6 @@ func (e *Env) WithVirgil(tc exec.TC, body func(virgil.Runtime)) {
 	v.Stop(tc)
 }
 
-// Threads returns the environment's configured worker count.
-func (e *Env) Threads() int { return e.threads }
-
 // Multiplier converts a region's memory profile into the environment's
 // effective-cost multiplier (see the package-level Multiplier).
 func (e *Env) Multiplier(mem cck.MemProfile, remoteFrac float64) float64 {
@@ -357,10 +348,4 @@ func (e *Env) Scale(remoteFrac float64) cck.CostScale {
 	return func(mem cck.MemProfile, cost int64) int64 {
 		return int64(float64(cost) * e.Multiplier(mem, remoteFrac))
 	}
-}
-
-// TouchCost charges first-touch behaviour for a freshly allocated region:
-// under demand paging this is where the Linux fault volume lands.
-func (e *Env) TouchCost(r *memsim.Region, cpu int) float64 {
-	return e.AS.TouchAll(r, cpu)
 }

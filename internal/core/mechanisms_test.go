@@ -39,7 +39,7 @@ func TestEnvironmentMechanismsPinned(t *testing.T) {
 					e := New(Config{Machine: m, Kind: kind, Seed: 1, Threads: threads,
 						ForceImmediate: imm, BootImageBytes: 64 << 20})
 					fmt.Fprintf(&b, "%s %s threads=%d immediate=%v inKernel=%v\n",
-						m.Name, kind, threads, imm, kind.InKernel())
+						m.Name, kind, threads, imm, kind.row().inKernel)
 					fmt.Fprintf(&b, "  costs %+v\n", *e.Layer.Costs())
 					fmt.Fprintf(&b, "  page=%d firstTouch=%v bootStatics=%v multiplier=%v\n",
 						e.PageSize, e.FirstTouch, e.BootImageStatics, e.Multiplier(prof, 0.25))

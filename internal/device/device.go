@@ -79,9 +79,6 @@ func New(topo *machine.Device, id int, sp *ompt.Spine) *Dev {
 // Topo returns the device's topology model.
 func (d *Dev) Topo() *machine.Device { return d.topo }
 
-// ID returns the OpenMP device number.
-func (d *Dev) ID() int { return d.id }
-
 // deviceInitNS is the one-time driver/device bring-up cost charged on
 // first use (context creation, firmware handshake).
 const deviceInitNS = 20000

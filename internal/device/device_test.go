@@ -221,7 +221,7 @@ func TestCreatingKindDrivesCopyOut(t *testing.T) {
 			d := newDev(2, 4)
 			a := make([]float64, 8)
 			run(t, mk(), func(tc exec.TC) {
-				d.Enter(tc, MapFrom(a))
+				d.Enter(tc, Map{Obj: a, Kind: From})
 				d.Ptr(a).([]float64)[3] = 9
 				d.Exit(tc, Map{Obj: a, Kind: Alloc})
 			})

@@ -45,7 +45,6 @@ type Map struct {
 
 // MapTo, MapFrom, MapTofrom and MapAlloc build map clause entries.
 func MapTo(obj any) Map     { return Map{Obj: obj, Kind: To} }
-func MapFrom(obj any) Map   { return Map{Obj: obj, Kind: From} }
 func MapTofrom(obj any) Map { return Map{Obj: obj, Kind: Tofrom} }
 func MapAlloc(obj any) Map  { return Map{Obj: obj, Kind: Alloc} }
 

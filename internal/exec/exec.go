@@ -43,7 +43,6 @@ type Costs struct {
 
 	// Memory management (runtime-internal allocations).
 	MallocNS int64
-	FreeNS   int64
 
 	// Misc.
 	TLSAccessNS    int64 // thread-local storage access (hwtls vs emulated)
@@ -116,9 +115,6 @@ type TC interface {
 	// FutexWake wakes up to n waiters (n < 0 means all), charging the
 	// wake-entry cost, and returns the number woken.
 	FutexWake(w *Word, n int) int
-	// RandIntn returns a deterministic (on the simulator) pseudo-random
-	// int in [0, n).
-	RandIntn(n int) int
 }
 
 // Mover is implemented by thread contexts whose CPU binding can change

@@ -176,7 +176,7 @@ func TestSimDeterministicElapsed(t *testing.T) {
 					for gate.Load() == 0 {
 						tc.FutexWait(&gate, 0)
 					}
-					tc.Charge(int64(100 + tc.RandIntn(50)))
+					tc.Charge(int64(100 + l.Sim.RNG().Intn(50)))
 				}))
 			}
 			tc.Charge(1000)

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -30,9 +29,6 @@ type RealLayer struct {
 	futex [futexShards]futexShard
 
 	wg sync.WaitGroup
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
 
 	// startMu guards the lazy start-epoch init in TC: with several
 	// session handles created concurrently (multi-tenant drivers), the
@@ -90,10 +86,7 @@ func NewRealLayer(ncpu int) *RealLayer {
 	if ncpu < 1 {
 		ncpu = 1
 	}
-	return &RealLayer{
-		ncpu: ncpu,
-		rng:  rand.New(rand.NewSource(time.Now().UnixNano())),
-	}
+	return &RealLayer{ncpu: ncpu}
 }
 
 // NumCPUs returns the configured CPU count.
@@ -223,12 +216,6 @@ func (t *realTC) Now() int64                { return time.Since(t.layer.start).N
 func (t *realTC) Yield()                    { runtime.Gosched() }
 
 func (t *realTC) Sleep(ns int64) { time.Sleep(time.Duration(ns)) }
-
-func (t *realTC) RandIntn(n int) int {
-	t.layer.rngMu.Lock()
-	defer t.layer.rngMu.Unlock()
-	return t.layer.rng.Intn(n)
-}
 
 type realHandle struct{ done chan struct{} }
 

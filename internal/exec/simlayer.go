@@ -88,11 +88,6 @@ type ProcHolder interface {
 // Proc exposes the underlying simulator proc (used by the kernel layers).
 func (t *simTC) Proc() *sim.Proc { return t.proc }
 
-// AdoptProc wraps a raw simulator proc in a thread context on this layer
-// — used by kernel execution models (fibers) that create procs outside
-// the thread-spawn path.
-func (l *SimLayer) AdoptProc(p *sim.Proc) TC { return &simTC{layer: l, proc: p} }
-
 func (t *simTC) CPU() int { return t.proc.CPUID() }
 
 // MoveCPU rebinds the proc; the move takes effect at the next compute
@@ -141,8 +136,6 @@ func (t *simTC) Yield() {
 }
 
 func (t *simTC) Sleep(ns int64) { t.proc.Sleep(ns) }
-
-func (t *simTC) RandIntn(n int) int { return t.layer.Sim.RNG().Intn(n) }
 
 // simHandle is a spawned thread: the join word and the thread's own
 // context in one allocation.

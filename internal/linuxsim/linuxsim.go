@@ -55,7 +55,6 @@ func Costs(m *machine.Machine) exec.Costs {
 		YieldNS:         scale(650),
 
 		MallocNS: scale(160),
-		FreeNS:   scale(120),
 
 		TLSAccessNS:    scale(4),
 		SyscallExtraNS: scale(400),
@@ -122,9 +121,4 @@ func NewSim(m *machine.Machine, seed int64) *sim.Sim {
 	s := sim.New(m.NumCPUs(), seed)
 	s.SetNoise(NewNoise(m))
 	return s
-}
-
-// NewLayer builds the complete Linux execution layer.
-func NewLayer(m *machine.Machine, seed int64) *exec.SimLayer {
-	return exec.NewSimLayer(NewSim(m, seed), Costs(m))
 }

@@ -21,7 +21,7 @@ func TestCostsScaleWithClock(t *testing.T) {
 func TestNoiseStealsTime(t *testing.T) {
 	m := machine.PHI()
 	// A 100ms compute must be stretched by housekeeping noise.
-	l := NewLayer(m, 3)
+	l := exec.NewSimLayer(NewSim(m, 3), Costs(m))
 	elapsed, err := l.Run(func(tc exec.TC) { tc.Charge(100_000_000) })
 	if err != nil {
 		t.Fatal(err)
@@ -38,7 +38,7 @@ func TestNoiseStealsTime(t *testing.T) {
 func TestNoiseVariesAcrossSeeds(t *testing.T) {
 	m := machine.PHI()
 	run := func(seed int64) int64 {
-		l := NewLayer(m, seed)
+		l := exec.NewSimLayer(NewSim(m, seed), Costs(m))
 		e, err := l.Run(func(tc exec.TC) { tc.Charge(50_000_000) })
 		if err != nil {
 			t.Fatal(err)
@@ -56,7 +56,7 @@ func TestNoiseVariesAcrossSeeds(t *testing.T) {
 func TestAddressSpaceIsDemand4K(t *testing.T) {
 	as := NewAddressSpace(machine.PHI())
 	r := as.Alloc("heap", 64<<10, 0)
-	if cost := as.TouchAll(r, 0); cost != 16*PageFaultNS {
+	if cost := as.Touch(r, 0, 0, r.Bytes); cost != 16*PageFaultNS {
 		t.Fatalf("fault cost = %v, want %v", cost, 16*PageFaultNS)
 	}
 }

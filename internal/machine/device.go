@@ -39,9 +39,6 @@ type Device struct {
 	BlockSchedNS   int64
 }
 
-// LaneCount returns the total lane (SIMT thread) capacity.
-func (d *Device) LaneCount() int { return d.CUs * d.LanesPerCU }
-
 // TransferNS returns the DMA engine occupancy for moving b bytes across
 // the link in either direction.
 func (d *Device) TransferNS(b int64) int64 {

@@ -4,8 +4,8 @@ import "testing"
 
 func TestDefaultDeviceGeometry(t *testing.T) {
 	d := DefaultDevice(16, 64)
-	if d.CUs != 16 || d.LanesPerCU != 64 || d.LaneCount() != 1024 {
-		t.Fatalf("geometry %+v, want 16x64 (1024 lanes)", d)
+	if d.CUs != 16 || d.LanesPerCU != 64 {
+		t.Fatalf("geometry %+v, want 16x64", d)
 	}
 	if d.Name != "ACC16x64" {
 		t.Errorf("Name = %q, want ACC16x64", d.Name)

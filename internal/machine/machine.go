@@ -87,9 +87,6 @@ func (m *Machine) SMT() int {
 // run with hyperthreading off, so it equals the core count there).
 func (m *Machine) NumCPUs() int { return m.Sockets * m.CoresPerSocket * m.SMT() }
 
-// CycleNS converts cycles to nanoseconds on this machine.
-func (m *Machine) CycleNS(cycles float64) float64 { return cycles / m.GHz }
-
 // SocketOf returns the socket that owns the given CPU.
 func (m *Machine) SocketOf(cpu int) int { return cpu / (m.CoresPerSocket * m.SMT()) }
 

@@ -103,13 +103,6 @@ func TestTLBReach(t *testing.T) {
 	}
 }
 
-func TestCycleNS(t *testing.T) {
-	m := PHI() // 1.3 GHz
-	if got := m.CycleNS(1300); got != 1000 {
-		t.Fatalf("1300 cycles at 1.3GHz = %v ns, want 1000", got)
-	}
-}
-
 // TestSMTTopology exercises the hardware-thread helpers on an asymmetric
 // hyperthreaded variant: the paper machines run with HT off, but the
 // topology math must survive threads-per-core > 1 (places "threads" vs

@@ -167,7 +167,7 @@ func TestIdentityPagingNoFaults(t *testing.T) {
 	m := machine.PHI()
 	as := NewAddressSpace(m, Identity, 1<<30, PlaceLocal, 2000)
 	r := as.Alloc("static", 512<<20, 0)
-	if cost := as.TouchAll(r, 3); cost != 0 {
+	if cost := as.Touch(r, 3, 0, r.Bytes); cost != 0 {
 		t.Fatalf("identity paging charged %v fault ns", cost)
 	}
 	if as.Faults != 0 {
@@ -182,14 +182,14 @@ func TestDemandPagingFaultsOncePerPage(t *testing.T) {
 	m := machine.PHI()
 	as := NewAddressSpace(m, Demand, 4096, PlaceFirstTouch, 1500)
 	r := as.Alloc("heap", 40960, 0) // 10 pages
-	cost := as.TouchAll(r, 0)
+	cost := as.Touch(r, 0, 0, r.Bytes)
 	if as.Faults != 10 {
 		t.Fatalf("faults = %d, want 10", as.Faults)
 	}
 	if cost != 15000 {
 		t.Fatalf("cost = %v, want 15000", cost)
 	}
-	if c := as.TouchAll(r, 0); c != 0 {
+	if c := as.Touch(r, 0, 0, r.Bytes); c != 0 {
 		t.Fatalf("re-touch charged %v", c)
 	}
 }
@@ -275,11 +275,21 @@ func TestTLBOverhead(t *testing.T) {
 	}
 }
 
+// TestBestPageSize: the page size Nautilus's identity paging maps with —
+// the machine's largest, 1 GiB on PHI — has the least TLB overhead of
+// the machine's page sizes for an 8 GiB working set.
 func TestBestPageSize(t *testing.T) {
 	m := machine.PHI()
 	tm := TLBModel{Machine: m}
-	if got := tm.BestPageSize(8<<30, 0.5); got != 1<<30 {
-		t.Fatalf("best page size for 8GiB = %d, want 1GiB", got)
+	largest := m.TLBs[len(m.TLBs)-1].PageSize
+	if largest != 1<<30 {
+		t.Fatalf("largest PHI page = %d, want 1GiB", largest)
+	}
+	best := tm.OverheadFraction(8<<30, 0.5, largest)
+	for _, lvl := range m.TLBs {
+		if ov := tm.OverheadFraction(8<<30, 0.5, lvl.PageSize); ov < best {
+			t.Fatalf("page size %d: overhead %v below the largest page's %v", lvl.PageSize, ov, best)
+		}
 	}
 }
 

@@ -190,11 +190,6 @@ func (a *AddressSpace) Touch(r *Region, cpu int, off, bytes int64) float64 {
 	return cost
 }
 
-// TouchAll touches the entire region from cpu.
-func (a *AddressSpace) TouchAll(r *Region, cpu int) float64 {
-	return a.Touch(r, cpu, 0, r.Bytes)
-}
-
 // TouchSlice simulates the slice of the region a given thread touches in a
 // block-partitioned parallel loop: thread tid of nthreads touches its
 // contiguous 1/nthreads share. Used for first-touch initialization loops.

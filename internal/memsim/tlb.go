@@ -41,17 +41,3 @@ func (t TLBModel) OverheadFraction(workingSet int64, pressure float64, pageSize 
 	missing := float64(workingSet-reach) / float64(workingSet)
 	return pressure * missing
 }
-
-// BestPageSize returns the machine page size that minimizes overhead for
-// the working set (the "largest possible page size" rule Nautilus uses).
-func (t TLBModel) BestPageSize(workingSet int64, pressure float64) int64 {
-	best := int64(0)
-	bestOv := -1.0
-	for _, lvl := range t.Machine.TLBs {
-		ov := t.OverheadFraction(workingSet, pressure, lvl.PageSize)
-		if bestOv < 0 || ov < bestOv || (ov == bestOv && lvl.PageSize > best) {
-			best, bestOv = lvl.PageSize, ov
-		}
-	}
-	return best
-}

@@ -11,8 +11,12 @@ import (
 
 func TestSpecsWellFormed(t *testing.T) {
 	for _, s := range Specs() {
-		if math.Abs(s.TotalShare()-1.0) > 0.02 {
-			t.Errorf("%s: loop shares sum to %v", s.Name, s.TotalShare())
+		var share float64
+		for _, l := range s.Loops {
+			share += l.Share
+		}
+		if math.Abs(share-1.0) > 0.02 {
+			t.Errorf("%s: loop shares sum to %v", s.Name, share)
 		}
 		for _, mn := range []string{"PHI", "8XEON"} {
 			p, ok := s.Profiles[mn]

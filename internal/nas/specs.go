@@ -102,15 +102,6 @@ type Spec struct {
 	Profiles map[string]MachineProfile
 }
 
-// TotalShare returns the summed loop shares (should be ~1).
-func (s *Spec) TotalShare() float64 {
-	var t float64
-	for _, l := range s.Loops {
-		t += l.Share
-	}
-	return t
-}
-
 // Specs returns the eight benchmark models in the paper's figure order.
 func Specs() []*Spec {
 	return []*Spec{btSpec(), ftSpec(), epSpec(), mgSpec(), spSpec(), luSpec(), cgSpec(), isSpec()}

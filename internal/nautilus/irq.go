@@ -1,9 +1,6 @@
 package nautilus
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // IRQHandler is a registered interrupt handler with a deterministic path
 // length — one of Nautilus's predictability features (§2.1: "interrupt
@@ -62,16 +59,6 @@ func (c *IRQController) Register(h *IRQHandler) {
 func (c *IRQController) Handler(name string) (*IRQHandler, bool) {
 	h, ok := c.handlers[name]
 	return h, ok
-}
-
-// Handlers returns registered handler names, sorted.
-func (c *IRQController) Handlers() []string {
-	out := make([]string, 0, len(c.handlers))
-	for n := range c.handlers {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Steer restricts device interrupt delivery to the given CPUs.

@@ -41,9 +41,6 @@ type Config struct {
 	Seed    int64
 	// Costs is the kernel primitive cost table (used by the exec layer).
 	Costs exec.Costs
-	// Noise is the interference model; nil means NautilusNoise with
-	// default steering (all device interrupts to CPU 0).
-	Noise sim.NoiseModel
 	// FirstTouch enables first-touch allocation at 2 MiB granularity
 	// instead of immediate allocation — the paper's 8XEON extension for
 	// 24+ cores (§6.3).
@@ -93,11 +90,7 @@ func Boot(cfg Config) *Kernel {
 		panic("nautilus: Boot without machine")
 	}
 	s := sim.New(cfg.Machine.NumCPUs(), cfg.Seed)
-	noise := cfg.Noise
-	if noise == nil {
-		noise = NewNautilusNoise(cfg.Machine)
-	}
-	s.SetNoise(noise)
+	s.SetNoise(NewNautilusNoise(cfg.Machine))
 
 	// Identity paging with the largest possible page size; everything is
 	// mapped at boot, so faults never occur (§2.1).

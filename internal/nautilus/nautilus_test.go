@@ -289,12 +289,14 @@ func TestTaskSystemRunsTasks(t *testing.T) {
 	done := 0
 	_, err := k.Layer.Run(func(tc exec.TC) {
 		k.Tasks.Start(tc, []int{1, 2, 3})
-		for i := 0; i < 30; i++ {
-			k.Tasks.Submit(tc, -1, &KTask{Fn: func(tc exec.TC) {
+		tasks := make([]*KTask, 30)
+		for i := range tasks {
+			tasks[i] = &KTask{Fn: func(tc exec.TC) {
 				tc.Charge(100)
 				done++
-			}})
+			}}
 		}
+		k.Tasks.SubmitBatch(tc, tasks)
 		k.Tasks.Stop(tc)
 	})
 	if err != nil {
@@ -312,10 +314,18 @@ func TestTaskSystemStealsFromImbalance(t *testing.T) {
 	k := bootPHI(t)
 	_, err := k.Layer.Run(func(tc exec.TC) {
 		k.Tasks.Start(tc, []int{1, 2})
-		// Pile everything on CPU 1's queue; CPU 2's worker must steal.
-		for i := 0; i < 40; i++ {
-			k.Tasks.Submit(tc, 1, &KTask{Fn: func(tc exec.TC) { tc.Charge(5000) }})
+		// The batch deals tasks alternately to CPU 1 and CPU 2; every
+		// task on CPU 1 is long, so CPU 2's worker drains its own queue
+		// early and must steal.
+		tasks := make([]*KTask, 40)
+		for i := range tasks {
+			cost := int64(5000)
+			if i%2 == 1 {
+				cost = 10
+			}
+			tasks[i] = &KTask{Fn: func(tc exec.TC) { tc.Charge(cost) }}
 		}
+		k.Tasks.SubmitBatch(tc, tasks)
 		k.Tasks.Stop(tc)
 	})
 	if err != nil {

@@ -75,29 +75,10 @@ func (ts *TaskSystem) Start(tc exec.TC, cpus []int) {
 	}
 }
 
-// Submit enqueues a task for a CPU (-1 selects round-robin over the
-// started worker CPUs) and wakes that CPU's worker.
-func (ts *TaskSystem) Submit(tc exec.TC, cpu int, t *KTask) {
-	if cpu < 0 {
-		if len(ts.cpus) == 0 {
-			panic("nautilus: Submit before Start")
-		}
-		cpu = ts.cpus[ts.rr%len(ts.cpus)]
-		ts.rr++
-	}
-	tc.Charge(ts.SubmitNS)
-	q := ts.queues[cpu]
-	q.tasks = append(q.tasks, t)
-	ts.Submitted++
-	if q.word.Add(1) == 1 {
-		tc.FutexWake(&q.word, 1)
-	}
-}
-
 // SubmitBatch enqueues tasks round-robin across the started worker CPUs
 // with one aggregate charge, then wakes every worker whose queue became
-// non-empty. Unlike per-task Submit, the submitting thread does not
-// interleave its charges with running tasks.
+// non-empty: the submitting thread does not interleave its charges with
+// running tasks.
 func (ts *TaskSystem) SubmitBatch(tc exec.TC, tasks []*KTask) {
 	if len(tasks) == 0 {
 		return

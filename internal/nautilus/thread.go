@@ -33,12 +33,6 @@ type TLSBlock struct {
 	Data []byte
 }
 
-// Load8 reads a byte at an %fs-relative offset.
-func (b *TLSBlock) Load8(off int) byte { return b.Data[off] }
-
-// Store8 writes a byte at an %fs-relative offset.
-func (b *TLSBlock) Store8(off int, v byte) { b.Data[off] = v }
-
 // KThread is a kernel thread: the Nautilus thread state that RTK's
 // pthread compatibility layer wraps ("Within the kernel, a pthread thread
 // is a variant of a kernel thread", §3.3).
@@ -117,7 +111,7 @@ func (k *Kernel) TLSLoad(tc exec.TC, off int) (byte, error) {
 		return 0, fmt.Errorf("nautilus: thread %d has no FSBASE", t.TID)
 	}
 	tc.Charge(tc.Costs().TLSAccessNS)
-	return t.FSBase.Load8(off), nil
+	return t.FSBase.Data[off], nil
 }
 
 // TLSStore performs an %fs-relative store for the calling thread.
@@ -127,6 +121,6 @@ func (k *Kernel) TLSStore(tc exec.TC, off int, v byte) error {
 		return fmt.Errorf("nautilus: thread %d has no FSBASE", t.TID)
 	}
 	tc.Charge(tc.Costs().TLSAccessNS)
-	t.FSBase.Store8(off, v)
+	t.FSBase.Data[off] = v
 	return nil
 }

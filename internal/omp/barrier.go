@@ -21,6 +21,11 @@ import (
 // parent — atomicity of the fetch-and-add makes the propagation
 // exactly-once even when an arriving worker races a dying one.
 
+// fanout is the arity of every tree the team builds: the barrier
+// arrival tree (and the cancel bits riding it), the tree release and
+// the fork tree. 4 is libomp's branching factor.
+const fanout = 4
+
 // barNode is one node of the arrival tree. A leaf covers a group of up to
 // fanout workers; an internal node covers a contiguous run of child
 // nodes.
@@ -50,11 +55,11 @@ type barTree struct {
 	root   int
 }
 
-func newBarTree(n, fanout int) *barTree {
+func newBarTree(n, k int) *barTree {
 	bt := &barTree{leafOf: make([]int, n)}
-	level := make([]int, 0, (n+fanout-1)/fanout)
-	for s := 0; s < n; s += fanout {
-		cnt := min(fanout, n-s)
+	level := make([]int, 0, (n+k-1)/k)
+	for s := 0; s < n; s += k {
+		cnt := min(k, n-s)
 		bt.nodes = append(bt.nodes, barNode{parent: -1, first: s, count: cnt, leaf: true})
 		ni := len(bt.nodes) - 1
 		level = append(level, ni)
@@ -63,9 +68,9 @@ func newBarTree(n, fanout int) *barTree {
 		}
 	}
 	for len(level) > 1 {
-		next := make([]int, 0, (len(level)+fanout-1)/fanout)
-		for s := 0; s < len(level); s += fanout {
-			cnt := min(fanout, len(level)-s)
+		next := make([]int, 0, (len(level)+k-1)/k)
+		for s := 0; s < len(level); s += k {
+			cnt := min(k, len(level)-s)
 			ni := len(bt.nodes)
 			bt.nodes = append(bt.nodes, barNode{parent: -1, first: level[s], count: cnt})
 			for j := 0; j < cnt; j++ {
@@ -181,7 +186,7 @@ func (w *Worker) barrier(b *barCounter) {
 			}
 			t.removeSleeper(tag)
 		}
-		if team && t.rt.opts.BarrierAlgo != BarrierFlat {
+		if team && t.fanRelease {
 			w.treeRelease()
 		}
 	}
@@ -371,7 +376,7 @@ func (w *Worker) completeBarrier(b *barCounter, waiters uint32) {
 		// from the waiters polling it just before the release.
 		b.arrived.Store(0)
 	}
-	if !team || t.rt.opts.BarrierAlgo == BarrierFlat {
+	if !team || !t.fanRelease {
 		b.gen.Add(1)
 		// Wake storm: the single waker pays for every wake.
 		tc.FutexWake(&b.gen, -1)
@@ -383,14 +388,13 @@ func (w *Worker) completeBarrier(b *barCounter, waiters uint32) {
 }
 
 // treeRelease fans the post-barrier wake-up out: each released thread
-// takes up to BarrierFanout wakes from the shared budget and issues them
+// takes up to fanout wakes from the shared budget and issues them
 // before going on, so the release completes in O(log n) wake latencies
 // instead of one thread paying for all n.
 func (w *Worker) treeRelease() {
 	t := w.team
 	tc := w.tc
-	fan := t.rt.opts.BarrierFanout
-	for k := 0; k < fan; k++ {
+	for k := 0; k < fanout; k++ {
 		n := t.relBudget.Load()
 		if n == 0 {
 			return

@@ -57,13 +57,19 @@ func TestBarrierAlgoMatrix(t *testing.T) {
 }
 
 // TestHierBarrierSmallTeamsAndFanouts checks the arrival tree degenerate
-// shapes: teams smaller than one fanout group, odd sizes, and fanouts
-// from binary up, on both layers.
+// shapes: teams smaller than one fanout group, odd sizes, and arities
+// from binary up, on both layers. The runtime builds fanout-ary trees;
+// the test swaps a k-ary one into the cached team before the checked
+// region.
 func TestHierBarrierSmallTeamsAndFanouts(t *testing.T) {
 	for _, fanout := range []int{2, 3, 4, 7} {
 		for _, n := range []int{2, 3, 5, 8} {
 			fanout, n := fanout, n
-			forBothLayers(t, Options{MaxThreads: 8, Bind: true, BarrierFanout: fanout}, func(rt *Runtime, tc exec.TC) {
+			forBothLayers(t, Options{MaxThreads: 8, Bind: true}, func(rt *Runtime, tc exec.TC) {
+				rt.Parallel(tc, n, func(*Worker) {})
+				team := rt.hot.take(n)
+				team.bar = newBarTree(n, fanout)
+				rt.hot.put(team)
 				var count atomic.Int64
 				var badSum atomic.Int64
 				rt.Parallel(tc, n, func(w *Worker) {
@@ -95,7 +101,7 @@ func xeon8Costs() exec.Costs {
 		FutexWaitEntryNS: 300, FutexWakeEntryNS: 280,
 		FutexWakeLatencyNS: 900, FutexWakeStaggerNS: 220,
 		AtomicRMWNS: 22, CacheLineXferNS: 90, YieldNS: 140,
-		MallocNS: 200, FreeNS: 140,
+		MallocNS: 200,
 	}
 }
 
@@ -286,32 +292,20 @@ func TestDispatchRingRecyclesWithoutLock(t *testing.T) {
 	})
 }
 
-// TestBarrierEnvICVs covers the fanout ICVs. The barrier algorithm itself
-// is not environment-settable; its names are pinned because the barrier
-// ablation prints them.
+// TestBarrierEnvICVs: no environment variable reaches the barrier — every
+// ICV set at once leaves the hierarchical default — and the algorithm
+// names are pinned because the barrier ablation prints them.
 func TestBarrierEnvICVs(t *testing.T) {
-	env := map[string]string{
-		"KOMP_BARRIER_FANOUT": "8",
-		"KOMP_FORK_FANOUT":    "2",
+	env := map[string]string{}
+	for name, s := range icvSamples {
+		env[name] = s.good
 	}
-	lookup := func(k string) (string, bool) { v, ok := env[k]; return v, ok }
 	var o Options
-	if err := o.Env(lookup); err != nil {
+	if err := o.Env(envOf(env)); err != nil {
 		t.Fatal(err)
 	}
-	if o.BarrierAlgo != BarrierHier || o.BarrierFanout != 8 || o.ForkFanout != 2 {
-		t.Fatalf("opts = %+v", o)
-	}
-	for k, bad := range map[string]string{
-		"KOMP_BARRIER_FANOUT": "1",
-		"KOMP_FORK_FANOUT":    "0",
-	} {
-		saved := env[k]
-		env[k] = bad
-		if err := o.Env(lookup); err == nil {
-			t.Fatalf("%s=%q must error", k, bad)
-		}
-		env[k] = saved
+	if o.BarrierAlgo != BarrierHier {
+		t.Fatalf("BarrierAlgo = %v after every ICV, want hier", o.BarrierAlgo)
 	}
 	for _, tt := range []struct {
 		algo BarrierAlgo

@@ -31,7 +31,6 @@ var icvs = []struct {
 	{"OMP_NUM_THREADS", setNumThreads},
 	{envMaxActiveLevels, intAtLeast(1, func(o *Options) *int { return &o.MaxActiveLevels })},
 	{"KOMP_NESTED_POOL", setNestedPool},
-	{"KOMP_HOT_TEAMS_MAX", intAtLeast(1, func(o *Options) *int { return &o.HotTeamsMax })},
 	{"OMP_SCHEDULE", func(o *Options, v string) error {
 		kind, chunk, err := ParseSchedule(v)
 		if err != nil {
@@ -40,8 +39,6 @@ var icvs = []struct {
 		o.Schedule, o.Chunk = kind, chunk
 		return nil
 	}},
-	{"KOMP_BARRIER_FANOUT", intAtLeast(2, func(o *Options) *int { return &o.BarrierFanout })},
-	{"KOMP_FORK_FANOUT", intAtLeast(1, func(o *Options) *int { return &o.ForkFanout })},
 	{"KOMP_TASK_CUTOFF", intAtLeast(0, func(o *Options) *int { return &o.TaskCutoff })},
 	{"KOMP_TASK_STEAL_TRIES", intAtLeast(0, func(o *Options) *int { return &o.TaskStealTries })},
 	{"OMP_PLACES", func(o *Options, v string) error {
@@ -66,7 +63,6 @@ var icvs = []struct {
 		return nil
 	}},
 	{"KOMP_DEVICE", setDeviceGeometry},
-	{"KOMP_DEVICE_MEM", setDeviceMem},
 	{envRegionDeadline, func(o *Options, v string) error {
 		d, err := time.ParseDuration(strings.TrimSpace(v))
 		if err != nil || d < 0 {

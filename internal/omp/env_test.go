@@ -17,10 +17,7 @@ var icvSamples = map[string]struct{ good, bad string }{
 	"OMP_NUM_THREADS":       {"8,4", "8,0"},
 	"OMP_MAX_ACTIVE_LEVELS": {"2", "0"},
 	"KOMP_NESTED_POOL":      {"return", "lend"},
-	"KOMP_HOT_TEAMS_MAX":    {"3", "0"},
 	"OMP_SCHEDULE":          {"dynamic,4", "dynamic,x"},
-	"KOMP_BARRIER_FANOUT":   {"8", "1"},
-	"KOMP_FORK_FANOUT":      {"2", "0"},
 	"KOMP_TASK_CUTOFF":      {"16", "-1"},
 	"KOMP_TASK_STEAL_TRIES": {"4", "-3"},
 	"OMP_PLACES":            {"{0:4},{4:4}", "{0:"},
@@ -29,7 +26,6 @@ var icvSamples = map[string]struct{ good, bad string }{
 	"KOMP_RESILIENT":        {"1", "maybe"},
 	"OMP_DEFAULT_DEVICE":    {"-1", "gpu"},
 	"KOMP_DEVICE":           {"16,64", "16"},
-	"KOMP_DEVICE_MEM":       {"256m", "9999999999g"},
 	"KOMP_REGION_DEADLINE":  {"50ms", "-1s"},
 }
 

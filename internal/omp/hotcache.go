@@ -2,12 +2,15 @@ package omp
 
 import "sync"
 
+// hotTeamsMax is the bound of every site's cache.
+const hotTeamsMax = 8
+
 // hotCache is one nesting site's bounded hot-team cache: the teams that
 // ran this site's recent parallel regions, parked with their worker
 // leases intact so a region of the same size forks with zero
 // construction cost. There is one cache per site — the runtime's
 // top-level slot plus one per forking worker — and each is bounded by
-// KOMP_HOT_TEAMS_MAX with LRU eviction, so call-site or team-size churn
+// hotTeamsMax with LRU eviction, so call-site or team-size churn
 // reaches a steady state instead of growing a team (and holding a
 // lease) per size forever.
 //
@@ -29,12 +32,7 @@ type hotEnt struct {
 	used uint64
 }
 
-func newHotCache(max int) *hotCache {
-	if max < 1 {
-		max = 1
-	}
-	return &hotCache{max: max}
-}
+func newHotCache(max int) *hotCache { return &hotCache{max: max} }
 
 // take claims the most-recently-used cached team of size n, removing it
 // from the cache, or returns nil on a miss. Steady-state take/put pairs

@@ -40,20 +40,22 @@ func TestHotTeamChurnSteadyState(t *testing.T) {
 	}
 }
 
-// TestHotTeamsMaxEviction: the cache must stay within KOMP_HOT_TEAMS_MAX
-// under churn across more sizes than the bound holds, evicted teams must
-// return their worker leases (nothing leaks), and the LRU choice must
-// evict the coldest size.
+// TestHotTeamsMaxEviction: the cache must stay within its bound (here 2,
+// set on the top-level cache in place of hotTeamsMax) under churn across
+// more sizes than the bound holds, evicted teams must return their
+// worker leases (nothing leaks), and the LRU choice must evict the
+// coldest size.
 func TestHotTeamsMaxEviction(t *testing.T) {
 	layer := exec.NewSimLayer(sim.New(16, 7), simCosts())
-	rt := New(layer, Options{MaxThreads: 16, Bind: true, HotTeamsMax: 2})
+	rt := New(layer, Options{MaxThreads: 16, Bind: true})
+	rt.hot = newHotCache(2)
 	body := func(w *Worker) { w.TC().Charge(100) }
 	if _, err := layer.Run(func(tc exec.TC) {
 		for r := 0; r < 8; r++ {
 			for _, n := range []int{2, 3, 4, 5} {
 				rt.Parallel(tc, n, body)
 				if got := rt.CachedTeams(); got > 2 {
-					t.Fatalf("CachedTeams() = %d, want <= HotTeamsMax (2)", got)
+					t.Fatalf("CachedTeams() = %d, want <= the bound (2)", got)
 				}
 			}
 		}
@@ -78,7 +80,8 @@ func TestHotTeamsMaxEviction(t *testing.T) {
 // clear-on-insert.
 func TestHotTeamLRUIsByRecency(t *testing.T) {
 	layer := exec.NewSimLayer(sim.New(8, 7), simCosts())
-	rt := New(layer, Options{MaxThreads: 8, Bind: true, HotTeamsMax: 2})
+	rt := New(layer, Options{MaxThreads: 8, Bind: true})
+	rt.hot = newHotCache(2)
 	body := func(w *Worker) { w.TC().Charge(100) }
 	if _, err := layer.Run(func(tc exec.TC) {
 		rt.Parallel(tc, 4, body) // cached: {4}
@@ -93,25 +96,5 @@ func TestHotTeamLRUIsByRecency(t *testing.T) {
 		rt.Close(tc)
 	}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestEnvHotTeamsMax: KOMP_HOT_TEAMS_MAX parsing.
-func TestEnvHotTeamsMax(t *testing.T) {
-	env := func(m map[string]string) func(string) (string, bool) {
-		return func(k string) (string, bool) { v, ok := m[k]; return v, ok }
-	}
-	var o Options
-	if err := o.Env(env(map[string]string{"KOMP_HOT_TEAMS_MAX": "3"})); err != nil {
-		t.Fatal(err)
-	}
-	if o.HotTeamsMax != 3 {
-		t.Errorf("HotTeamsMax = %d, want 3", o.HotTeamsMax)
-	}
-	for _, bad := range []string{"0", "-1", "many"} {
-		var b Options
-		if err := b.Env(env(map[string]string{"KOMP_HOT_TEAMS_MAX": bad})); err == nil {
-			t.Errorf("KOMP_HOT_TEAMS_MAX=%q: want parse error", bad)
-		}
 	}
 }

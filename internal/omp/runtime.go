@@ -184,12 +184,6 @@ type Options struct {
 	MaxActiveLevels int
 	// NestedPool is the inner-team lease policy (KOMP_NESTED_POOL).
 	NestedPool NestedPoolPolicy
-	// HotTeamsMax bounds each nesting site's hot-team cache
-	// (KOMP_HOT_TEAMS_MAX; default 8): at most this many idle teams —
-	// and their worker leases — stay parked per site, LRU-evicted
-	// beyond it, so team-size churn reaches a steady state instead of
-	// accumulating a lease per size forever.
-	HotTeamsMax int
 	// Schedule and Chunk are the defaults for runtime-scheduled loops
 	// (OMP_SCHEDULE).
 	Schedule Schedule
@@ -235,13 +229,6 @@ type Options struct {
 	// BarrierAlgo selects the barrier arrival/release algorithm. Set in
 	// code only: flat and tree are the barrier ablation's references.
 	BarrierAlgo BarrierAlgo
-	// BarrierFanout is the arity of the barrier arrival/release trees
-	// (KOMP_BARRIER_FANOUT; default 4, libomp's branching factor).
-	BarrierFanout int
-	// ForkFanout is the arity of the fork tree: the master wakes only
-	// its ForkFanout children in Parallel and woken workers forward the
-	// remaining dispatches (KOMP_FORK_FANOUT; default 4).
-	ForkFanout int
 	// TaskDeque selects the per-worker task deque algorithm. Set in code
 	// only: DequeMutex is the tasking ablation's reference.
 	TaskDeque TaskDequeAlgo
@@ -293,10 +280,8 @@ type Options struct {
 	DefaultDevice int
 	// DeviceCUs and DeviceLanes set the accelerator geometry when the
 	// runtime builds its own device (KOMP_DEVICE=cus,lanes; default
-	// 8 CUs × 32 lanes), and DeviceMemBytes its memory capacity
-	// (KOMP_DEVICE_MEM). Ignored when Device injects an instance.
+	// 8 CUs × 32 lanes). Ignored when Device injects an instance.
 	DeviceCUs, DeviceLanes int
-	DeviceMemBytes         int64
 	// Device, if non-nil, is the accelerator instance target constructs
 	// offload to — the simulated environments build one per machine
 	// model so the OpenMP and CCK pipelines share a map table.
@@ -385,15 +370,6 @@ func New(layer exec.Layer, opts Options) *Runtime {
 	if opts.MaxActiveLevels < 1 {
 		opts.MaxActiveLevels = 1 // nested regions serialize by default
 	}
-	if opts.BarrierFanout < 2 {
-		opts.BarrierFanout = 4
-	}
-	if opts.ForkFanout < 1 {
-		opts.ForkFanout = 4
-	}
-	if opts.HotTeamsMax < 1 {
-		opts.HotTeamsMax = 8
-	}
 	if opts.Places == nil {
 		p, err := places.Parse(opts.PlacesSpec, places.Flat(layer.NumCPUs()))
 		if err != nil {
@@ -408,7 +384,7 @@ func New(layer exec.Layer, opts Options) *Runtime {
 		layer:    layer,
 		lib:      pthread.New(layer, opts.PthreadImpl),
 		opts:     opts,
-		hot:      newHotCache(opts.HotTeamsMax),
+		hot:      newHotCache(hotTeamsMax),
 		spine:    opts.Spine,
 		critical: make(map[string]*critEntry),
 	}
@@ -468,12 +444,6 @@ func (rt *Runtime) procBindAt(level int) places.Bind {
 		}
 	}
 	return rt.procBind()
-}
-
-// stealNear reports whether thieves should sweep victims nearest-first
-// for a team with placement cpus (nil means unplaced).
-func (rt *Runtime) stealNear(cpus []int) bool {
-	return cpus != nil && rt.opts.StealOrder != StealRR
 }
 
 // Layer returns the runtime's execution layer.

@@ -6,7 +6,6 @@ package omp
 
 import (
 	"errors"
-	"math"
 	"strconv"
 	"strings"
 
@@ -25,27 +24,6 @@ func setDeviceGeometry(o *Options, s string) error {
 		return errors.New("want cus,lanes (two positive integers)")
 	}
 	o.DeviceCUs, o.DeviceLanes = cus, lanes
-	return nil
-}
-
-// setDeviceMem is the KOMP_DEVICE_MEM setter: a positive byte count with
-// an optional k/m/g suffix.
-func setDeviceMem(o *Options, s string) error {
-	t := strings.TrimSpace(strings.ToLower(s))
-	mult := int64(1)
-	switch {
-	case strings.HasSuffix(t, "g"):
-		t, mult = t[:len(t)-1], 1<<30
-	case strings.HasSuffix(t, "m"):
-		t, mult = t[:len(t)-1], 1<<20
-	case strings.HasSuffix(t, "k"):
-		t, mult = t[:len(t)-1], 1<<10
-	}
-	n, err := strconv.ParseInt(strings.TrimSpace(t), 10, 64)
-	if err != nil || n <= 0 || n > math.MaxInt64/mult {
-		return errors.New("want a positive byte count with an optional k/m/g suffix")
-	}
-	o.DeviceMemBytes = n * mult
 	return nil
 }
 
@@ -72,11 +50,7 @@ func (rt *Runtime) Device() *device.Dev {
 		if lanes <= 0 {
 			lanes = 32
 		}
-		topo := machine.DefaultDevice(cus, lanes)
-		if rt.opts.DeviceMemBytes > 0 {
-			topo.MemBytes = rt.opts.DeviceMemBytes
-		}
-		d = device.New(topo, 0, rt.spine)
+		d = device.New(machine.DefaultDevice(cus, lanes), 0, rt.spine)
 	}
 	rt.dev.Store(d)
 	return d

@@ -19,23 +19,20 @@ func envOf(vars map[string]string) func(string) (string, bool) {
 }
 
 // TestDeviceICVParsing covers the offload environment variables:
-// OMP_DEFAULT_DEVICE, KOMP_DEVICE, KOMP_DEVICE_MEM and KOMP_RESILIENT,
+// OMP_DEFAULT_DEVICE, KOMP_DEVICE and KOMP_RESILIENT,
 // good values and the error text of bad ones.
 func TestDeviceICVParsing(t *testing.T) {
 	good := map[string]string{
 		"OMP_DEFAULT_DEVICE": "-1",
 		"KOMP_DEVICE":        " 16 , 64 ",
-		"KOMP_DEVICE_MEM":    "256m",
 		"KOMP_RESILIENT":     "true",
 	}
 	var o Options
 	if err := o.Env(envOf(good)); err != nil {
 		t.Fatalf("Env: %v", err)
 	}
-	if o.DefaultDevice != -1 || o.DeviceCUs != 16 || o.DeviceLanes != 64 ||
-		o.DeviceMemBytes != 256<<20 || !o.Resilient {
-		t.Errorf("parsed %+v, want DefaultDevice=-1 DeviceCUs=16 DeviceLanes=64 DeviceMemBytes=%d Resilient=true",
-			o, 256<<20)
+	if o.DefaultDevice != -1 || o.DeviceCUs != 16 || o.DeviceLanes != 64 || !o.Resilient {
+		t.Errorf("parsed %+v, want DefaultDevice=-1 DeviceCUs=16 DeviceLanes=64 Resilient=true", o)
 	}
 
 	bad := []struct{ key, val, want string }{
@@ -43,8 +40,6 @@ func TestDeviceICVParsing(t *testing.T) {
 		{"KOMP_DEVICE", "16", "want cus,lanes"},
 		{"KOMP_DEVICE", "0,64", "want cus,lanes"},
 		{"KOMP_DEVICE", "16,-2", "want cus,lanes"},
-		{"KOMP_DEVICE_MEM", "lots", "KOMP_DEVICE_MEM"},
-		{"KOMP_DEVICE_MEM", "-3m", "KOMP_DEVICE_MEM"},
 		{"KOMP_RESILIENT", "maybe", "KOMP_RESILIENT"},
 	}
 	for _, c := range bad {
@@ -57,15 +52,15 @@ func TestDeviceICVParsing(t *testing.T) {
 }
 
 // TestDeviceLazyConstruction: the runtime builds its device from the
-// configured geometry on first use, honours the memory override, and
+// configured geometry and the default device memory on first use, and
 // prefers an injected instance (the shared per-machine device of the
 // simulated environments).
 func TestDeviceLazyConstruction(t *testing.T) {
 	l := exec.NewSimLayer(sim.New(4, 1), simCosts())
-	rt := New(l, Options{MaxThreads: 2, DeviceCUs: 6, DeviceLanes: 16, DeviceMemBytes: 4096})
+	rt := New(l, Options{MaxThreads: 2, DeviceCUs: 6, DeviceLanes: 16})
 	d := rt.Device()
-	if d.Topo().CUs != 6 || d.Topo().LanesPerCU != 16 || d.Topo().MemBytes != 4096 {
-		t.Errorf("device topo %+v, want 6 CUs x 16 lanes, 4096 bytes", d.Topo())
+	if *d.Topo() != *machine.DefaultDevice(6, 16) {
+		t.Errorf("device topo %+v, want machine.DefaultDevice(6, 16)", d.Topo())
 	}
 	if rt.Device() != d {
 		t.Error("Device() is not idempotent")

@@ -388,7 +388,7 @@ func (w *Worker) runOneTask() bool {
 		w.finishTask(t)
 		return true
 	}
-	if w.team.rt.stealNear(w.team.cpus) {
+	if w.team.stealNear {
 		if w.stealNearest() {
 			return true
 		}

@@ -45,6 +45,9 @@ type Team struct {
 	// deterministic per-region rotation, modeling unbound threads
 	// drifting under a general-purpose scheduler.
 	migrate bool
+	// stealNear: thieves sweep victims nearest-first — the team is
+	// placed and StealOrder is not the round-robin reference.
+	stealNear bool
 
 	// alive is the live team size: n minus workers lost to CPU-offline
 	// faults. On a fault-free run it stays n, and every comparison
@@ -66,6 +69,9 @@ type Team struct {
 	bar       *barTree
 	barrier   barCounter
 	relBudget exec.Word // tree-release wake budget
+	// fanRelease: team barriers release through treeRelease (every
+	// algorithm but BarrierFlat, whose single waker wakes all).
+	fanRelease bool
 
 	// Cancellation (cancel.go). cancellable mirrors the OMP_CANCELLATION
 	// ICV; with it off none of the fields below are ever touched and
@@ -300,7 +306,7 @@ func (rt *Runtime) hotTeam(parent *Worker, n int, fn func(*Worker)) (*Team, *hot
 	hc := rt.hot
 	if parent != nil {
 		if parent.hotChild == nil {
-			parent.hotChild = newHotCache(rt.opts.HotTeamsMax)
+			parent.hotChild = newHotCache(hotTeamsMax)
 		}
 		hc = parent.hotChild
 	}
@@ -503,8 +509,9 @@ func newTeam(rt *Runtime, parent *Worker, n int, fn func(*Worker)) *Team {
 	for i := 0; i < n; i++ {
 		t.workers[i] = &Worker{team: t, id: i, deque: newTaskDeque(rt.opts.TaskDeque)}
 	}
+	t.fanRelease = rt.opts.BarrierAlgo != BarrierFlat
 	if n > 1 && rt.opts.BarrierAlgo == BarrierHier {
-		t.bar = newBarTree(n, rt.opts.BarrierFanout)
+		t.bar = newBarTree(n, fanout)
 	}
 	t.cancellable = rt.opts.Cancellation
 	t.cancelTree = t.cancellable && t.bar != nil &&
@@ -534,6 +541,7 @@ func (rt *Runtime) placeTeam(t *Team, masterCPU int) {
 			t.cpus = rt.opts.Places.Assign(t.n, bind, masterCPU)
 		}
 		t.placedCPU = masterCPU
+		t.stealNear = t.cpus != nil && rt.opts.StealOrder != StealRR
 		for _, w := range t.workers {
 			// The nearest-first steal order is keyed on cpus: recompute
 			// lazily against the new placement.
@@ -581,7 +589,7 @@ type Worker struct {
 	sub atomic.Pointer[Team]
 	// hotChild / serialChild cache this worker's inner teams between
 	// nested regions — the per-(nesting site, size) hot-team cache,
-	// bounded by KOMP_HOT_TEAMS_MAX. The leases they hold are returned
+	// bounded by hotTeamsMax. The leases they hold are returned
 	// when the enclosing team is released, when the LRU bound evicts, or
 	// at every inner join under KOMP_NESTED_POOL=return.
 	hotChild    *hotCache
@@ -650,15 +658,14 @@ func (w *Worker) placeRank() int {
 }
 
 // forkChildren dispatches this worker's children in the fork tree — a
-// ForkFanout-ary heap over team slots 0..n-1 — writing each child's work
+// fanout-ary heap over team slots 0..n-1 — writing each child's work
 // descriptor and waking it. The master seeds the tree and every woken
 // worker forwards its own children, replacing the master's linear wake
 // loop with an O(log n) critical path.
 func (w *Worker) forkChildren() {
 	t := w.team
-	k := t.rt.opts.ForkFanout
-	for j := 1; j <= k; j++ {
-		c := w.id*k + j
+	for j := 1; j <= fanout; j++ {
+		c := w.id*fanout + j
 		if c >= t.n {
 			return
 		}
@@ -676,9 +683,8 @@ func (w *Worker) dispatchSlot(c int) {
 	if pw.dead.Load() == 1 || pw.doom.Load() == 1 {
 		// The slot's CPU is offline: fork nothing and shrink the team.
 		w.removeWorker(c)
-		k := t.rt.opts.ForkFanout
-		for j := 1; j <= k; j++ {
-			gc := c*k + j
+		for j := 1; j <= fanout; j++ {
+			gc := c*fanout + j
 			if gc >= t.n {
 				return
 			}

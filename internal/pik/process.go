@@ -161,12 +161,6 @@ func newProcess(k *nautilus.Kernel, img *Image, base int64) *Process {
 	}
 }
 
-// SetSpine attaches an instrumentation spine: the futex syscalls emit
-// SyncFutex acquire/acquired/release events keyed by the emulated
-// address — the kernel-side observability the stub-counting design
-// gives per-call counts for, as a typed event stream.
-func (p *Process) SetSpine(sp *ompt.Spine) { p.spine = sp }
-
 // Setenv sets a process environment variable (the loader copies the
 // kernel environment in, mirroring how RTK reads kernel env vars).
 func (p *Process) Setenv(k, v string) { p.env[k] = v }

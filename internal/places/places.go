@@ -105,17 +105,6 @@ func (b Bind) String() string {
 	}
 }
 
-// ParseBind parses an OMP_PROC_BIND-style value and returns the level-0
-// policy. The spec allows a comma-separated list (one policy per nesting
-// level); callers that consume the whole list use ParseBindList.
-func ParseBind(s string) (Bind, error) {
-	list, err := ParseBindList(s)
-	if err != nil {
-		return 0, err
-	}
-	return list[0], nil
-}
-
 // ParseBindList parses the full comma-separated OMP_PROC_BIND list, one
 // policy per nesting level (list[0] governs top-level teams, list[1]
 // teams forked inside them, ...). Teams deeper than the list inherit its
@@ -239,16 +228,6 @@ func (p *Partition) Shard(i, n int) *Partition {
 	}
 	sub.index()
 	return sub
-}
-
-// Default returns the default partition over a topology: one place per
-// core (what libomp uses when OMP_PLACES is unset but binding is on).
-func Default(topo Topology) *Partition {
-	p, err := Parse("cores", topo)
-	if err != nil {
-		panic(err) // unreachable: "cores" always parses
-	}
-	return p
 }
 
 // groupBy builds one place per distinct key over the CPU range, in key

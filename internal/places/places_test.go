@@ -117,19 +117,19 @@ func TestParseBind(t *testing.T) {
 		{"SPREAD", BindSpread},
 		{"spread,close", BindSpread}, // nesting list: first level wins
 	} {
-		got, err := ParseBind(tc.s)
+		list, err := ParseBindList(tc.s)
 		if err != nil {
-			t.Fatalf("ParseBind(%q): %v", tc.s, err)
+			t.Fatalf("ParseBindList(%q): %v", tc.s, err)
 		}
-		if got != tc.want {
-			t.Errorf("ParseBind(%q) = %v, want %v", tc.s, got, tc.want)
+		if list[0] != tc.want {
+			t.Errorf("ParseBindList(%q)[0] = %v, want %v", tc.s, list[0], tc.want)
 		}
 	}
-	if _, err := ParseBind("sideways"); err == nil {
-		t.Error("ParseBind(sideways): want error")
+	if _, err := ParseBindList("sideways"); err == nil {
+		t.Error("ParseBindList(sideways): want error")
 	}
-	if _, err := ParseBind("close,sideways"); err == nil {
-		t.Error("ParseBind(close,sideways): want error in later level")
+	if _, err := ParseBindList("close,sideways"); err == nil {
+		t.Error("ParseBindList(close,sideways): want error in later level")
 	}
 }
 
@@ -196,7 +196,7 @@ func TestAssignNested(t *testing.T) {
 	}
 	// Oversubscribed inner team: a flat-8 default partition has
 	// one-CPU places, so every inner worker stacks on the master CPU.
-	flat := Default(Flat(8))
+	flat := cores(t, Flat(8))
 	if got, want := flat.AssignNested(3, BindClose, 5), []int{5, 5, 5}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("nested close over one-CPU place = %v, want %v", got, want)
 	}
@@ -208,7 +208,7 @@ func TestAssignNested(t *testing.T) {
 
 func TestAssignCloseMatchesLegacy(t *testing.T) {
 	topo := Flat(8)
-	p := Default(topo)
+	p := cores(t, topo)
 	got := p.Assign(8, BindClose, 0)
 	want := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	if !reflect.DeepEqual(got, want) {
@@ -287,7 +287,7 @@ func TestAssignMaster(t *testing.T) {
 }
 
 func TestAssignUnbound(t *testing.T) {
-	p := Default(Flat(4))
+	p := cores(t, Flat(4))
 	if got := p.Assign(4, BindFalse, 0); got != nil {
 		t.Fatalf("BindFalse: got %v, want nil", got)
 	}
@@ -297,7 +297,7 @@ func TestAssignUnbound(t *testing.T) {
 }
 
 func TestDist(t *testing.T) {
-	p := Default(ForMachine(machine.XEON8()))
+	p := cores(t, ForMachine(machine.XEON8()))
 	if d := p.Dist(0, 1); d != 10 {
 		t.Errorf("Dist same socket = %d, want 10", d)
 	}
@@ -335,7 +335,7 @@ func TestStealOrderRings(t *testing.T) {
 
 func TestStealOrderSameSocketRing(t *testing.T) {
 	topo := ForMachine(machine.XEON8())
-	p := Default(topo) // cores partition: place != socket
+	p := cores(t, topo) // cores partition: place != socket
 	// Worker 0 on CPU 0; slot 1 shares its core place? No — cores are
 	// singletons, so ring 0 is empty; slots 1,2 are same-socket, slot 3
 	// remote.
@@ -350,7 +350,7 @@ func TestStealOrderSameSocketRing(t *testing.T) {
 }
 
 func TestStealOrderUnbound(t *testing.T) {
-	p := Default(Flat(4))
+	p := cores(t, Flat(4))
 	cpus := []int{-1, -1, -1, -1}
 	order, rings := p.StealOrder(1, cpus)
 	if want := []int{0, 2, 3}; !reflect.DeepEqual(order, want) {
@@ -446,4 +446,15 @@ func TestShard(t *testing.T) {
 			p.Shard(bad[0], bad[1])
 		}()
 	}
+}
+
+// cores is the partition binding falls back to without OMP_PLACES: one
+// place per core.
+func cores(t *testing.T, topo Topology) *Partition {
+	t.Helper()
+	p, err := Parse("cores", topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }

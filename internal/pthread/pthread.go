@@ -192,122 +192,10 @@ func (cv *Cond) Wait(tc exec.TC, m *Mutex) {
 	m.Lock(tc)
 }
 
-// Signal wakes one waiter.
-func (cv *Cond) Signal(tc exec.TC) {
-	cv.lib.tax(tc)
-	tc.Charge(tc.Costs().AtomicRMWNS)
-	cv.seq.Add(1)
-	tc.FutexWake(&cv.seq, 1)
-}
-
 // Broadcast wakes all waiters.
 func (cv *Cond) Broadcast(tc exec.TC) {
 	cv.lib.tax(tc)
 	tc.Charge(tc.Costs().AtomicRMWNS)
 	cv.seq.Add(1)
 	tc.FutexWake(&cv.seq, -1)
-}
-
-// --- Semaphore (PTE provides one; libomp uses it on some paths) ---
-
-// Sem is a counting semaphore.
-type Sem struct {
-	lib   *Lib
-	count exec.Word
-}
-
-// NewSem creates a semaphore with an initial count.
-func (l *Lib) NewSem(initial uint32) *Sem {
-	s := &Sem{lib: l}
-	s.count.Store(initial)
-	return s
-}
-
-// Post increments the semaphore, waking one waiter.
-func (s *Sem) Post(tc exec.TC) {
-	s.lib.tax(tc)
-	tc.Charge(tc.Costs().AtomicRMWNS)
-	s.count.Add(1)
-	tc.FutexWake(&s.count, 1)
-}
-
-// Wait decrements the semaphore, blocking while it is zero.
-func (s *Sem) Wait(tc exec.TC) {
-	s.lib.tax(tc)
-	c := tc.Costs()
-	for {
-		tc.Charge(c.AtomicRMWNS)
-		v := s.count.Load()
-		if v > 0 && s.count.CompareAndSwap(v, v-1) {
-			return
-		}
-		if v == 0 {
-			tc.FutexWait(&s.count, 0)
-		}
-	}
-}
-
-// --- Once ---
-
-// Once implements pthread_once.
-type Once struct {
-	lib  *Lib
-	done exec.Word
-	mu   Mutex
-}
-
-// NewOnce creates a Once.
-func (l *Lib) NewOnce() *Once {
-	o := &Once{lib: l}
-	o.mu.lib = l
-	return o
-}
-
-// Do runs fn exactly once across all threads.
-func (o *Once) Do(tc exec.TC, fn func()) {
-	if o.done.Load() == 1 {
-		return
-	}
-	o.mu.Lock(tc)
-	if o.done.Load() == 0 {
-		fn()
-		o.done.Store(1)
-	}
-	o.mu.Unlock(tc)
-}
-
-// --- TLS keys (pthread_key_create / getspecific / setspecific) ---
-
-// Key is a pthread TLS key. Values are per (key, thread-context) — the
-// simulated analogue of per-thread slots.
-type Key struct {
-	lib  *Lib
-	mu   Mutex
-	vals map[exec.TC]any
-}
-
-// NewKey creates a TLS key.
-func (l *Lib) NewKey() *Key {
-	k := &Key{lib: l, vals: make(map[exec.TC]any)}
-	k.mu.lib = l
-	return k
-}
-
-// Set stores the calling thread's value (pthread_setspecific).
-func (k *Key) Set(tc exec.TC, v any) {
-	k.lib.tax(tc)
-	tc.Charge(tc.Costs().TLSAccessNS)
-	k.mu.Lock(tc)
-	k.vals[tc] = v
-	k.mu.Unlock(tc)
-}
-
-// Get loads the calling thread's value (pthread_getspecific).
-func (k *Key) Get(tc exec.TC) any {
-	k.lib.tax(tc)
-	tc.Charge(tc.Costs().TLSAccessNS)
-	k.mu.Lock(tc)
-	v := k.vals[tc]
-	k.mu.Unlock(tc)
-	return v
 }

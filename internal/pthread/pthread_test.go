@@ -209,79 +209,3 @@ func TestPTEBarrierSlowerThanCustom(t *testing.T) {
 		t.Fatalf("PTE barrier (%d) must be slower than customized (%d)", pte, custom)
 	}
 }
-
-func TestOnce(t *testing.T) {
-	layer := exec.NewSimLayer(sim.New(8, 1), exec.Costs{})
-	lib := New(layer, NPTL)
-	calls := 0
-	_, err := layer.Run(func(tc exec.TC) {
-		o := lib.NewOnce()
-		var ths []*Thread
-		for i := 0; i < 8; i++ {
-			ths = append(ths, lib.Create(tc, Attr{CPU: i}, func(tc exec.TC) {
-				o.Do(tc, func() { calls++ })
-			}))
-		}
-		for _, th := range ths {
-			lib.Join(tc, th)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 1 {
-		t.Fatalf("once ran %d times", calls)
-	}
-}
-
-func TestSemaphore(t *testing.T) {
-	layer := exec.NewSimLayer(sim.New(4, 1), exec.Costs{FutexWakeLatencyNS: 100})
-	lib := New(layer, PTE)
-	order := []string{}
-	_, err := layer.Run(func(tc exec.TC) {
-		s := lib.NewSem(0)
-		th := lib.Create(tc, Attr{CPU: 1}, func(tc exec.TC) {
-			s.Wait(tc)
-			order = append(order, "consumed")
-		})
-		tc.Charge(5000)
-		order = append(order, "produced")
-		s.Post(tc)
-		lib.Join(tc, th)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 2 || order[0] != "produced" || order[1] != "consumed" {
-		t.Fatalf("order = %v", order)
-	}
-}
-
-func TestTLSKey(t *testing.T) {
-	layer := exec.NewSimLayer(sim.New(4, 1), exec.Costs{})
-	lib := New(layer, NPTL)
-	vals := map[int]int{}
-	_, err := layer.Run(func(tc exec.TC) {
-		key := lib.NewKey()
-		var ths []*Thread
-		for i := 0; i < 4; i++ {
-			i := i
-			ths = append(ths, lib.Create(tc, Attr{CPU: i}, func(tc exec.TC) {
-				key.Set(tc, i*10)
-				tc.Yield()
-				vals[i] = key.Get(tc).(int)
-			}))
-		}
-		for _, th := range ths {
-			lib.Join(tc, th)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if vals[i] != i*10 {
-			t.Fatalf("thread %d saw %d, want %d (keys must be thread-local)", i, vals[i], i*10)
-		}
-	}
-}

@@ -26,8 +26,6 @@ import (
 type Runtime interface {
 	// Start brings up the worker fleet; tc is a running thread context.
 	Start(tc exec.TC)
-	// Submit hands an immediately-ready task to the runtime.
-	Submit(tc exec.TC, fn func(exec.TC))
 	// SubmitBatch hands a whole group of ready tasks to the runtime in
 	// one operation — what CCK's generated code does at the head of a
 	// parallel region, so the submitting thread does not interleave
@@ -35,8 +33,6 @@ type Runtime interface {
 	SubmitBatch(tc exec.TC, fns []func(exec.TC))
 	// Stop drains outstanding tasks and shuts the workers down.
 	Stop(tc exec.TC)
-	// Workers returns the worker count.
-	Workers() int
 }
 
 // --- User-level VIRGIL ---
@@ -80,9 +76,6 @@ func NewUser(n int) *User {
 	return u
 }
 
-// Workers returns the worker count.
-func (u *User) Workers() int { return u.n }
-
 // Start spawns the worker threads, bound round-robin to CPUs.
 func (u *User) Start(tc exec.TC) {
 	ncpu := tc.NumCPUs()
@@ -120,21 +113,6 @@ func (u *User) enqueue(tasks ...utask) {
 		u.head = 0
 	}
 	u.queue = append(u.queue, tasks...)
-}
-
-// Submit enqueues a ready task and wakes an idle worker.
-func (u *User) Submit(tc exec.TC, fn func(exec.TC)) {
-	c := tc.Costs()
-	tc.Charge(c.MallocNS/2 + c.AtomicRMWNS)
-	t := u.newTask(tc, fn)
-	<-u.qlock
-	u.enqueue(t)
-	u.qlock <- struct{}{}
-	u.pending.Add(1)
-	// Wake one worker per submission: with a shared queue, waking only on
-	// the empty→non-empty edge would leave all but one worker asleep
-	// during a burst of submissions.
-	tc.FutexWake(&u.pending, 1)
 }
 
 // SubmitBatch enqueues a group of ready tasks with a single charge and
@@ -248,9 +226,6 @@ func NewKernel(k *nautilus.Kernel, cpus []int) *Kernel {
 // TaskComplete on the executing CPU. Must be called before Start.
 func (v *Kernel) SetSpine(sp *ompt.Spine) { v.spine = sp }
 
-// Workers returns the worker count.
-func (v *Kernel) Workers() int { return len(v.cpus) }
-
 // Start brings up the kernel task workers.
 func (v *Kernel) Start(tc exec.TC) { v.k.Tasks.Start(tc, v.cpus) }
 
@@ -279,11 +254,6 @@ func (v *Kernel) newKTask(tc exec.TC, fn func(exec.TC)) *nautilus.KTask {
 				CPU: int32(wtc.CPU()), TimeNS: wtc.Now(), Obj: id})
 		}
 	}}
-}
-
-// Submit hands a ready task to the kernel task system (round-robin CPU).
-func (v *Kernel) Submit(tc exec.TC, fn func(exec.TC)) {
-	v.k.Tasks.Submit(tc, -1, v.newKTask(tc, fn))
 }
 
 // SubmitBatch spreads a group of ready tasks across the per-CPU queues

@@ -27,13 +27,15 @@ func TestUserRunsAllTasks(t *testing.T) {
 			_, err := layer.Run(func(tc exec.TC) {
 				u.Start(tc)
 				g := NewGroup(500)
-				for i := 0; i < 500; i++ {
-					u.Submit(tc, func(tc exec.TC) {
+				fns := make([]func(exec.TC), 500)
+				for i := range fns {
+					fns[i] = func(tc exec.TC) {
 						tc.Charge(100)
 						done.Add(1)
 						g.Done(tc)
-					})
+					}
 				}
+				u.SubmitBatch(tc, fns)
 				g.Wait(tc)
 				u.Stop(tc)
 			})
@@ -58,12 +60,14 @@ func TestUserParallelismOnSim(t *testing.T) {
 	elapsed, err := layer.Run(func(tc exec.TC) {
 		u.Start(tc)
 		g := NewGroup(8)
-		for i := 0; i < 8; i++ {
-			u.Submit(tc, func(tc exec.TC) {
+		fns := make([]func(exec.TC), 8)
+		for i := range fns {
+			fns[i] = func(tc exec.TC) {
 				tc.Charge(1_000_000)
 				g.Done(tc)
-			})
+			}
 		}
+		u.SubmitBatch(tc, fns)
 		g.Wait(tc)
 		u.Stop(tc)
 	})
@@ -83,16 +87,18 @@ func TestGroupWaitBlocksUntilAllDone(t *testing.T) {
 	_, err := layer.Run(func(tc exec.TC) {
 		u.Start(tc)
 		g := NewGroup(3)
-		for i := 0; i < 3; i++ {
+		fns := make([]func(exec.TC), 3)
+		for i := range fns {
 			d := int64((i + 1) * 1000)
-			u.Submit(tc, func(tc exec.TC) {
+			fns[i] = func(tc exec.TC) {
 				tc.Charge(d)
 				if d == 3000 {
 					doneAt = tc.Now()
 				}
 				g.Done(tc)
-			})
+			}
 		}
+		u.SubmitBatch(tc, fns)
 		g.Wait(tc)
 		waitedAt = tc.Now()
 		u.Stop(tc)
@@ -108,20 +114,19 @@ func TestGroupWaitBlocksUntilAllDone(t *testing.T) {
 func TestKernelVirgilOverTaskSystem(t *testing.T) {
 	k := nautilus.Boot(nautilus.Config{Machine: machine.PHI(), Seed: 1})
 	v := NewKernel(k, []int{1, 2, 3, 4})
-	if v.Workers() != 4 {
-		t.Fatal("workers")
-	}
 	var done atomic.Int64
 	_, err := k.Layer.Run(func(tc exec.TC) {
 		v.Start(tc)
 		g := NewGroup(100)
-		for i := 0; i < 100; i++ {
-			v.Submit(tc, func(tc exec.TC) {
+		fns := make([]func(exec.TC), 100)
+		for i := range fns {
+			fns[i] = func(tc exec.TC) {
 				tc.Charge(500)
 				done.Add(1)
 				g.Done(tc)
-			})
+			}
 		}
+		v.SubmitBatch(tc, fns)
 		g.Wait(tc)
 		v.Stop(tc)
 	})
@@ -149,9 +154,11 @@ func TestKernelVirgilCheaperSubmitThanUserOnSameCosts(t *testing.T) {
 		elapsed, err := layer.Run(func(tc exec.TC) {
 			u.Start(tc)
 			g := NewGroup(2000)
-			for i := 0; i < 2000; i++ {
-				u.Submit(tc, func(tc exec.TC) { tc.Charge(50); g.Done(tc) })
+			fns := make([]func(exec.TC), 2000)
+			for i := range fns {
+				fns[i] = func(tc exec.TC) { tc.Charge(50); g.Done(tc) }
 			}
+			u.SubmitBatch(tc, fns)
 			g.Wait(tc)
 			u.Stop(tc)
 		})
@@ -168,9 +175,11 @@ func TestKernelVirgilCheaperSubmitThanUserOnSameCosts(t *testing.T) {
 		elapsed, err := k.Layer.Run(func(tc exec.TC) {
 			v.Start(tc)
 			g := NewGroup(2000)
-			for i := 0; i < 2000; i++ {
-				v.Submit(tc, func(tc exec.TC) { tc.Charge(50); g.Done(tc) })
+			fns := make([]func(exec.TC), 2000)
+			for i := range fns {
+				fns[i] = func(tc exec.TC) { tc.Charge(50); g.Done(tc) }
 			}
+			v.SubmitBatch(tc, fns)
 			g.Wait(tc)
 			v.Stop(tc)
 		})

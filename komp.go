@@ -297,19 +297,10 @@ type TargetResult = device.Result
 // kernel could finish.
 var ErrDeviceLost = device.ErrDeviceLost
 
-// MapTo, MapFrom, MapTofrom and MapAlloc build map clause entries
-// (map(to: x), map(from: x), map(tofrom: x), map(alloc: x)).
-//
-// A kernel body reached through Target cannot yet write results back
-// through MapFrom or MapTofrom: the body sees only its Block, not the
-// device copy, so its writes to the host slice are overwritten at unmap
-// by the device copy it never wrote. map(to:) reads and the league
-// reduction work; under the host fallback (WithDefaultDevice(-1)) the
-// body updates host memory in place.
-func MapTo(obj any) Map     { return device.MapTo(obj) }
-func MapFrom(obj any) Map   { return device.MapFrom(obj) }
-func MapTofrom(obj any) Map { return device.MapTofrom(obj) }
-func MapAlloc(obj any) Map  { return device.MapAlloc(obj) }
+// MapTo and MapAlloc build map clause entries (map(to: x) and
+// map(alloc: x)): what the device is charged to move and to hold.
+func MapTo(obj any) Map    { return device.MapTo(obj) }
+func MapAlloc(obj any) Map { return device.MapAlloc(obj) }
 
 // WithDevice sets the accelerator geometry target constructs offload to
 // (the KOMP_DEVICE ICV): cus compute units of lanes SIMT lanes each.

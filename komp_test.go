@@ -1,6 +1,8 @@
 package komp
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -189,6 +191,76 @@ func TestServiceAPI(t *testing.T) {
 	}
 	if st := svc.Stats(); st.Admitted != 80 || st.Rejected != 0 {
 		t.Fatalf("Stats = %+v, want 80 admitted, 0 rejected", st)
+	}
+	a.Close()
+	b.Close()
+	svc.Close()
+}
+
+// TestTargetMapTypesMatchHostFallback: a kernel body addresses host
+// memory, so under every public map type the host data a doubling
+// kernel leaves after Target is what the host fallback leaves — no map
+// type copies an unwritten device buffer back over the body's writes.
+func TestTargetMapTypesMatchHostFallback(t *testing.T) {
+	double := func(o *OMP, mk func(any) Map) []float64 {
+		a := []float64{1, 2, 3, 4, 5}
+		k := Kernel{Name: "double", N: len(a), IterNS: 10,
+			Body: func(b Block) float64 {
+				for i := b.Lo; i < b.Hi; i++ {
+					a[i] *= 2
+				}
+				return 0
+			}}
+		if _, err := o.Target([]Map{mk(a)}, k); err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	host := New(2, WithDefaultDevice(-1))
+	defer host.Close()
+	dev := New(2, WithDevice(4, 8))
+	defer dev.Close()
+	for name, mk := range map[string]func(any) Map{"to": MapTo, "alloc": MapAlloc} {
+		want := fmt.Sprint(double(host, mk))
+		if got := fmt.Sprint(double(dev, mk)); got != want {
+			t.Errorf("map(%s:): host data %s on the device, %s under the host fallback", name, got, want)
+		}
+	}
+}
+
+// TestTenantShedPanics: with one region in flight on a Service that
+// rejects at saturation, a second tenant's Submit returns ErrRejected
+// and its Parallel panics with a message pointing at Submit.
+func TestTenantShedPanics(t *testing.T) {
+	svc, err := NewService(ServiceConfig{MaxInflight: 1, QueueDepth: 0, Reject: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := New(1, WithTenant(svc))
+	b := New(1, WithTenant(svc))
+	entered, release := make(chan struct{}), make(chan struct{})
+	done := make(chan error)
+	go func() {
+		done <- a.Submit(1, func(*Worker) {
+			close(entered)
+			<-release
+		})
+	}()
+	<-entered
+	if err := b.Submit(1, func(*Worker) { t.Error("a shed Submit ran its region") }); !errors.Is(err, ErrRejected) {
+		t.Errorf("Submit at saturation = %v, want ErrRejected", err)
+	}
+	func() {
+		defer func() {
+			if msg, _ := recover().(string); !strings.Contains(msg, "use Submit") {
+				t.Errorf("Parallel at saturation panicked with %q, want a message containing \"use Submit\"", msg)
+			}
+		}()
+		b.Parallel(1, func(*Worker) { t.Error("a shed Parallel ran its region") })
+	}()
+	close(release)
+	if err := <-done; err != nil {
+		t.Errorf("tenant a: %v", err)
 	}
 	a.Close()
 	b.Close()
