@@ -5,7 +5,7 @@
 # shared by every Sim of the process.
 RACE_PKGS = . ./internal/omp/ ./internal/exec/ ./internal/tenancy/ ./internal/device/ ./internal/sim/
 
-.PHONY: verify build test vet staticcheck race fma-scan race-stress fuzz-smoke figures bench-smoke pin-check bench-diff trace-smoke loc reach
+.PHONY: verify build test vet staticcheck race fma-scan race-stress fuzz-smoke figures bench-smoke pin-check bench-diff trace-smoke loc reach prof
 
 verify: build vet staticcheck test race fma-scan
 
@@ -137,3 +137,22 @@ loc:
 # that matches nothing fails too. Binaries land in .bench_build/reach/.
 reach:
 	@bash scripts/reach.sh
+
+# prof profiles one figure's regeneration on the simulator: it runs the
+# root BenchmarkFigN once with CPU and memory profiles into
+# .bench_build/prof/ and prints the top of each (CPU time, then bytes
+# allocated). BenchmarkSimCell measures a single cell the same way:
+#   go test -run '^$$' -bench SimCell -benchmem .
+# Usage: make prof FIG=fig13
+PROF = .bench_build/prof
+
+prof:
+	@test -n "$(FIG)" || { echo "usage: make prof FIG=figN"; exit 2; }
+	@mkdir -p $(PROF)
+	@go test -run '^$$' -bench '^BenchmarkFig$(FIG:fig%=%)[^0-9]' -benchtime 1x \
+		-cpuprofile $(PROF)/$(FIG).cpu -memprofile $(PROF)/$(FIG).mem \
+		-o $(PROF)/komp.test . >$(PROF)/$(FIG).txt
+	@grep '^BenchmarkFig' $(PROF)/$(FIG).txt || \
+		{ echo "prof: no root benchmark for $(FIG)"; exit 2; }
+	@go tool pprof -top -nodecount 25 $(PROF)/komp.test $(PROF)/$(FIG).cpu
+	@go tool pprof -top -nodecount 25 -sample_index alloc_space $(PROF)/komp.test $(PROF)/$(FIG).mem

@@ -27,7 +27,15 @@ type SimLayer struct {
 	Spine *ompt.Spine
 
 	tidSeq atomic.Int32
+
+	// handles is the unused rest of the last simHandle allocation
+	// (Spawn takes handles handleChunk at a time; procs run one at a
+	// time, so no lock).
+	handles []simHandle
 }
+
+// handleChunk is how many simHandles one allocation provides.
+const handleChunk = 32
 
 // NewSimLayer wraps a simulator with an environment cost table.
 func NewSimLayer(s *sim.Sim, costs Costs) *SimLayer {
@@ -158,7 +166,12 @@ func (t *simTC) Spawn(name string, cpu int, fn func(TC)) Handle {
 	if l.SpawnHook != nil {
 		l.SpawnHook(t, cpu)
 	}
-	h := &simHandle{tc: simTC{layer: l}}
+	if len(l.handles) == 0 {
+		l.handles = make([]simHandle, handleChunk)
+	}
+	h := &l.handles[0]
+	l.handles = l.handles[1:]
+	h.tc.layer = l
 	l.Sim.Go(name, cpu, t.proc.Now(), func(p *sim.Proc) {
 		child := &h.tc
 		child.proc = p

@@ -24,7 +24,7 @@ type cpuQueue struct {
 // idle workers steal from the fullest remote queue.
 type TaskSystem struct {
 	k       *Kernel
-	queues  []*cpuQueue
+	queues  []cpuQueue // by CPU
 	workers []exec.Handle
 	cpus    []int
 	stop    bool
@@ -46,13 +46,10 @@ type TaskSystem struct {
 func newTaskSystem(k *Kernel) *TaskSystem {
 	ts := &TaskSystem{
 		k:          k,
-		queues:     make([]*cpuQueue, k.Machine.NumCPUs()),
+		queues:     make([]cpuQueue, k.Machine.NumCPUs()),
 		SubmitNS:   90,
 		DispatchNS: 60,
 		StealNS:    250,
-	}
-	for i := range ts.queues {
-		ts.queues[i] = &cpuQueue{}
 	}
 	return ts
 }
@@ -95,7 +92,7 @@ func (ts *TaskSystem) SubmitBatch(tc exec.TC, tasks []*KTask) {
 	for _, t := range tasks {
 		cpu := ts.cpus[ts.rr%len(ts.cpus)]
 		ts.rr++
-		q := ts.queues[cpu]
+		q := &ts.queues[cpu]
 		q.tasks = append(q.tasks, t)
 		q.word.Add(1)
 		if !seen[cpu] {
@@ -124,7 +121,7 @@ func (ts *TaskSystem) Stop(tc exec.TC) {
 }
 
 func (ts *TaskSystem) pop(cpu int) *KTask {
-	q := ts.queues[cpu]
+	q := &ts.queues[cpu]
 	if len(q.tasks) == 0 {
 		return nil
 	}
@@ -153,7 +150,7 @@ func (ts *TaskSystem) stealFrom(tc exec.TC, cpu int) *KTask {
 	}
 	tc.Charge(ts.StealNS)
 	ts.Steals++
-	victim := ts.queues[best]
+	victim := &ts.queues[best]
 	// The charge above yields the CPU: other workers may have drained
 	// the victim in the meantime.
 	if len(victim.tasks) == 0 {
@@ -167,14 +164,14 @@ func (ts *TaskSystem) stealFrom(tc exec.TC, cpu int) *KTask {
 	copy(stolen, victim.tasks[len(victim.tasks)-n:])
 	victim.tasks = victim.tasks[:len(victim.tasks)-n]
 	victim.word.Store(uint32(len(victim.tasks)))
-	mine := ts.queues[cpu]
+	mine := &ts.queues[cpu]
 	mine.tasks = append(mine.tasks, stolen[1:]...)
 	mine.word.Store(uint32(len(mine.tasks)))
 	return stolen[0]
 }
 
 func (ts *TaskSystem) workerLoop(tc exec.TC, cpu int) {
-	q := ts.queues[cpu]
+	q := &ts.queues[cpu]
 	for {
 		if t := ts.pop(cpu); t != nil {
 			tc.Charge(ts.DispatchNS)

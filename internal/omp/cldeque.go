@@ -59,19 +59,13 @@ type taskDeque interface {
 	reset()
 }
 
-func newTaskDeque(algo TaskDequeAlgo) taskDeque {
-	if algo == DequeMutex {
-		return &mutexDeque{}
-	}
-	return newCLDeque()
-}
-
 // --- Chase–Lev ---
 
 // clRing is one circular buffer generation of a Chase–Lev deque. Slots
 // are atomic pointers so a thief's read of a slot the owner is about to
 // recycle is a benign stale read (the top CAS arbitrates ownership),
-// not a data race.
+// not a data race. The first generation lives inside the deque; grow
+// allocates the later ones.
 type clRing struct {
 	mask int64
 	slot []atomic.Pointer[task]
@@ -109,6 +103,11 @@ type clDeque struct {
 	// followed by the owner's own pop returns it to its old value with
 	// the pointer still in the slot.
 	cleanAt, dirtyTo int64
+
+	// first is the initial ring generation and firstSlot its storage,
+	// so a deque that never grows is one object with its team slot.
+	first     clRing
+	firstSlot [clInitialCap]atomic.Pointer[task]
 }
 
 // clInitialCap is the initial ring capacity (must be a power of two).
@@ -116,10 +115,10 @@ type clDeque struct {
 // is exercised by tests, the steady state stays allocation-free.
 const clInitialCap = 64
 
-func newCLDeque() *clDeque {
-	d := &clDeque{}
-	d.ring.Store(newCLRing(clInitialCap))
-	return d
+// init points a zero deque at its inline first ring.
+func (d *clDeque) init() {
+	d.first = clRing{mask: clInitialCap - 1, slot: d.firstSlot[:]}
+	d.ring.Store(&d.first)
 }
 
 func (d *clDeque) size() int {
@@ -173,11 +172,17 @@ func (d *clDeque) grow(tc exec.TC, old *clRing, b, top int64) *clRing {
 // many slots were cleared.
 func (d *clDeque) reset() {
 	r := d.ring.Load()
-	if r.capacity() != clInitialCap {
+	if r != &d.first {
 		// The live window is empty, so there is nothing to copy and old
 		// generations stay valid for any in-flight thief, exactly as in
-		// grow.
-		d.ring.Store(newCLRing(clInitialCap))
+		// grow. A thief still holding the first ring from before the
+		// growth cannot take a task out of it: the indices it read are
+		// below top now, so its top CAS fails. Its slots still hold the
+		// tasks grow copied out; drop them, as a fresh ring would.
+		for i := range d.firstSlot {
+			d.firstSlot[i].Store(nil)
+		}
+		d.ring.Store(&d.first)
 	} else {
 		// Drop stale task pointers so a drained region's tasks are
 		// collectable (a fresh ring starts nil-slotted too) — only the

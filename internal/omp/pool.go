@@ -72,9 +72,11 @@ type poolWorker struct {
 // newPool creates nworkers pool workers with ids 1..nworkers; cpus, when
 // non-nil, is indexed by worker id and gives each its pool-level binding.
 func newPool(tc exec.TC, lib *pthread.Lib, nworkers int, cpus []int, shared bool) *pool {
-	p := &pool{lib: lib, shared: shared}
+	p := &pool{lib: lib, shared: shared, workers: make([]*poolWorker, 0, nworkers)}
+	slots := newLineSlab[poolWorkerSlot](nworkers)
 	for i := 1; i <= nworkers; i++ {
-		pw := &poolWorker{id: i, slot: i, cpu: -1}
+		pw := &slots.at(i - 1).pw
+		pw.id, pw.slot, pw.cpu = i, i, -1
 		if cpus != nil {
 			pw.cpu = cpus[i]
 		}

@@ -390,12 +390,6 @@ func New(layer exec.Layer, opts Options) *Runtime {
 	}
 }
 
-// Spine returns the runtime's instrumentation spine (nil when disabled).
-func (rt *Runtime) Spine() *ompt.Spine { return rt.spine }
-
-// Places returns the runtime's place partition.
-func (rt *Runtime) Places() *places.Partition { return rt.opts.Places }
-
 // procBind resolves the effective binding policy: an explicit ProcBind
 // wins; BindDefault maps the legacy Bind flag to close binding (which
 // reproduces the historic worker-i-on-CPU-i placement while the team
@@ -446,9 +440,6 @@ func (rt *Runtime) procBindAt(level int) places.Bind {
 	return rt.procBind()
 }
 
-// Layer returns the runtime's execution layer.
-func (rt *Runtime) Layer() exec.Layer { return rt.layer }
-
 // Lib returns the pthread library beneath the runtime.
 func (rt *Runtime) Lib() *pthread.Lib { return rt.lib }
 
@@ -492,10 +483,6 @@ func (rt *Runtime) ReleaseCachedTeams() {
 		rt.releaseTeam(t)
 	}
 }
-
-// CachedTeams returns how many idle teams the top-level hot cache
-// currently parks (a test hook for the eviction bound).
-func (rt *Runtime) CachedTeams() int { return rt.hot.size() }
 
 // TeamBuilds returns how many Team structures the runtime has built so
 // far (a test hook: repeated regions on a warm cache must not grow it).

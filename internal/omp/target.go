@@ -56,10 +56,6 @@ func (rt *Runtime) Device() *device.Dev {
 	return d
 }
 
-// DefaultDevice returns the OMP_DEFAULT_DEVICE ICV: the device number
-// target constructs offload to, or a negative value for host fallback.
-func (rt *Runtime) DefaultDevice() int { return rt.opts.DefaultDevice }
-
 // hostFallback reports whether target regions run on the host (the
 // OpenMP initial-device fallback: OMP_DEFAULT_DEVICE=-1, or any device
 // number past the one device this runtime models).

@@ -506,8 +506,18 @@ func newTeam(rt *Runtime, parent *Worker, n int, fn func(*Worker)) *Team {
 	}
 	t.alive.Store(uint32(n))
 	t.resilient = rt.opts.Resilient
+	slots := newLineSlab[workerSlot](n)
 	for i := 0; i < n; i++ {
-		t.workers[i] = &Worker{team: t, id: i, deque: newTaskDeque(rt.opts.TaskDeque)}
+		s := slots.at(i)
+		w := &s.w
+		w.team, w.id = t, i
+		if rt.opts.TaskDeque == DequeMutex {
+			w.deque = &mutexDeque{}
+		} else {
+			s.d.init()
+			w.deque = &s.d
+		}
+		t.workers[i] = w
 	}
 	t.fanRelease = rt.opts.BarrierAlgo != BarrierFlat
 	if n > 1 && rt.opts.BarrierAlgo == BarrierHier {

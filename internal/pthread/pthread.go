@@ -19,6 +19,7 @@ package pthread
 
 import (
 	"strconv"
+	"sync"
 	"sync/atomic"
 
 	"github.com/interweaving/komp/internal/exec"
@@ -61,7 +62,15 @@ type Lib struct {
 	TaxNS int64
 
 	threadSeq atomic.Int64
+
+	// mu guards threads, the unused rest of the last Thread allocation
+	// (Create takes them threadChunk at a time).
+	mu      sync.Mutex
+	threads []Thread
 }
+
+// threadChunk is how many Threads one allocation provides.
+const threadChunk = 32
 
 // New creates a pthread library over a layer.
 func New(layer exec.Layer, impl Impl) *Lib {
@@ -107,8 +116,39 @@ func (l *Lib) Create(tc exec.TC, attr Attr, fn func(exec.TC)) *Thread {
 		cpu = int(l.threadSeq.Load()) % l.Layer.NumCPUs()
 	}
 	id := l.threadSeq.Add(1)
-	h := tc.Spawn("pthread-"+strconv.FormatInt(id, 10), cpu, fn)
-	return &Thread{ID: id, handle: h}
+	h := tc.Spawn(threadName(id), cpu, fn)
+	l.mu.Lock()
+	if len(l.threads) == 0 {
+		l.threads = make([]Thread, threadChunk)
+	}
+	t := &l.threads[0]
+	l.threads = l.threads[1:]
+	l.mu.Unlock()
+	t.ID, t.handle = id, h
+	return t
+}
+
+// threadNames caches "pthread-<id>" per id: every Lib numbers its threads
+// from 1, so a process that builds one Lib per simulated cell formats
+// each name once instead of once per thread. Ids beyond the cap are
+// formatted per call.
+var threadNames struct {
+	sync.Mutex
+	s []string // s[i] names id i+1
+}
+
+const threadNamesMax = 1024
+
+func threadName(id int64) string {
+	if id > threadNamesMax {
+		return "pthread-" + strconv.FormatInt(id, 10)
+	}
+	threadNames.Lock()
+	defer threadNames.Unlock()
+	for int64(len(threadNames.s)) < id {
+		threadNames.s = append(threadNames.s, "pthread-"+strconv.Itoa(len(threadNames.s)+1))
+	}
+	return threadNames.s[id-1]
 }
 
 // Join waits for the thread to exit (pthread_join).

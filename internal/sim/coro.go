@@ -7,10 +7,7 @@
 
 package sim
 
-import (
-	"iter"
-	"sync"
-)
+import "iter"
 
 // coro is a coroutine that runs proc bodies, one after another. The event
 // loop switches into it with next; the proc switches back with yield,
@@ -57,19 +54,11 @@ const coroFreeMax = 1024
 // killed): parked at the top of their loop with an unwound stack. It is
 // shared by all Sims of the process, so a figure's cells, which build
 // one Sim each, pay for goroutine creation and stack growth once.
-var coroFree struct {
-	sync.Mutex
-	list []*coro
-}
+var coroFree = freeList[coro]{max: coroFreeMax}
 
 // getCoro returns a coroutine set to run fn(p) at its next switch in.
 func getCoro(p *Proc, fn func(*Proc)) *coro {
-	coroFree.Lock()
-	var c *coro
-	if n := len(coroFree.list); n > 0 {
-		c, coroFree.list[n-1], coroFree.list = coroFree.list[n-1], nil, coroFree.list[:n-1]
-	}
-	coroFree.Unlock()
+	c := coroFree.get()
 	if c == nil {
 		c = &coro{}
 		c.next, c.stop = iter.Pull(c.loop)
@@ -82,13 +71,7 @@ func getCoro(p *Proc, fn func(*Proc)) *coro {
 // whose body panicked or called Goexit never gets here: next does not
 // return in dispatch, and the coroutine is gone with the body.
 func putCoro(c *coro) {
-	coroFree.Lock()
-	keep := len(coroFree.list) < coroFreeMax
-	if keep {
-		coroFree.list = append(coroFree.list, c)
-	}
-	coroFree.Unlock()
-	if !keep {
+	if !coroFree.put(c) {
 		c.stop()
 	}
 }

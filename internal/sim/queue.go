@@ -48,7 +48,9 @@ type eventNode struct {
 // (at, seq). Cancelled nodes stay queued (lazy deletion) and are
 // recycled by the caller on pop.
 type eventQueue interface {
-	push(n *eventNode)
+	// push queues n and reports whether it took a far-future path (the
+	// wheel's spill; never on the heap baseline).
+	push(n *eventNode) bool
 	// pop removes and returns the minimum event, or nil when empty.
 	pop() *eventNode
 	// peekTime reports the minimum pending timestamp.
@@ -61,6 +63,11 @@ type eventQueue interface {
 // heapQueue is the classic binary min-heap: the wheel's spill level on
 // its own, plus the empty-queue answers the eventQueue contract asks for.
 type heapQueue struct{ spillHeap }
+
+func (q *heapQueue) push(n *eventNode) bool {
+	q.spillHeap.push(n)
+	return false
+}
 
 func (q *heapQueue) pop() *eventNode {
 	if q.size() == 0 {
@@ -96,6 +103,26 @@ type wbucket struct {
 	head, tail *eventNode
 }
 
+// wheelArrays is the wheel's fixed-size storage: the buckets and the two
+// lower bitmap levels, 1 MiB in all. It is all-empty whenever the queue
+// is, so a Sim whose Run has drained its queue hands it to the next Sim
+// through wheelFree instead of leaving a megabyte to the collector and
+// having the next NewEQ allocate and clear another.
+type wheelArrays struct {
+	buckets [wheelSize]wbucket
+	l0      [wheelSize / 64]uint64      // one bit per bucket
+	l1      [wheelSize / 64 / 64]uint64 // one bit per l0 word
+}
+
+// wheelFreeMax caps the idle wheels kept for reuse: a figure runs its
+// cells one after another, so one idle wheel serves a sequential caller,
+// and the cap bounds what a burst of concurrent Sims leaves behind.
+const wheelFreeMax = 8
+
+// wheelFree holds drained wheels, shared by all Sims of the process like
+// coroFree.
+var wheelFree = freeList[wheelArrays]{max: wheelFreeMax}
+
 // wheelQueue indexes near-future events by timestamp delta in wheel
 // buckets and keeps far-future events in a sorted spill heap. A
 // three-level bitmap (64-ary) over the buckets finds the next non-empty
@@ -109,6 +136,9 @@ type wbucket struct {
 //   - spill events had at - cur >= wheelSpan when last examined; migrate
 //     moves them into the wheel as cur advances (order-preserving: the
 //     spill pops in (at, seq) order and appends to bucket tails).
+//   - a is nil only while no event sits in a bucket (l2 == 0): release
+//     hands the arrays back once the queue is empty, and bucketInsert
+//     takes a wheel again.
 type wheelQueue struct {
 	cur Time
 	n   int // total queued events (buckets + chain + spill)
@@ -118,37 +148,32 @@ type wheelQueue struct {
 	// drain, and subsequent pops walk the chain with no bitmap search.
 	chain *eventNode
 
-	buckets []wbucket
-	l0      []uint64 // wheelSize bits
-	l1      []uint64 // one bit per l0 word
-	l2      uint64   // one bit per l1 word
-	spill   spillHeap
-
-	// spilled counts events that took the far-future path (Sim.EventsSpilled;
-	// deterministic).
-	spilled int64
+	a     *wheelArrays
+	l2    uint64 // one bit per l1 word
+	spill spillHeap
 }
 
-func newWheelQueue() *wheelQueue {
-	return &wheelQueue{
-		buckets: make([]wbucket, wheelSize),
-		l0:      make([]uint64, wheelSize/64),
-		l1:      make([]uint64, wheelSize/64/64),
+// release returns the arrays of an empty queue to wheelFree.
+func (q *wheelQueue) release() {
+	if q.n == 0 && q.a != nil {
+		wheelFree.put(q.a)
+		q.a = nil
 	}
 }
 
 func (q *wheelQueue) setBit(i int) {
-	q.l0[i>>6] |= 1 << uint(i&63)
-	q.l1[i>>12] |= 1 << uint((i>>6)&63)
+	q.a.l0[i>>6] |= 1 << uint(i&63)
+	q.a.l1[i>>12] |= 1 << uint((i>>6)&63)
 	q.l2 |= 1 << uint(i>>12)
 }
 
 func (q *wheelQueue) clearBit(i int) {
 	w := i >> 6
-	q.l0[w] &^= 1 << uint(i&63)
-	if q.l0[w] == 0 {
-		q.l1[w>>6] &^= 1 << uint(w&63)
-		if q.l1[w>>6] == 0 {
+	a := q.a
+	a.l0[w] &^= 1 << uint(i&63)
+	if a.l0[w] == 0 {
+		a.l1[w>>6] &^= 1 << uint(w&63)
+		if a.l1[w>>6] == 0 {
 			q.l2 &^= 1 << uint(w>>6)
 		}
 	}
@@ -158,19 +183,20 @@ func (q *wheelQueue) clearBit(i int) {
 // of 64 are fine in Go (the result is 0), so the word-boundary cases
 // fall out naturally.
 func (q *wheelQueue) nextFrom(i int) int {
+	a := q.a
 	w := i >> 6
-	if x := q.l0[w] >> uint(i&63); x != 0 {
+	if x := a.l0[w] >> uint(i&63); x != 0 {
 		return i + bits.TrailingZeros64(x)
 	}
 	w1 := w >> 6
-	if x := q.l1[w1] & (^uint64(0) << uint(w&63+1)); x != 0 {
+	if x := a.l1[w1] & (^uint64(0) << uint(w&63+1)); x != 0 {
 		w = w1<<6 | bits.TrailingZeros64(x)
-		return w<<6 | bits.TrailingZeros64(q.l0[w])
+		return w<<6 | bits.TrailingZeros64(a.l0[w])
 	}
 	if x := q.l2 & (^uint64(0) << uint(w1+1)); x != 0 {
 		w1 = bits.TrailingZeros64(x)
-		w = w1<<6 | bits.TrailingZeros64(q.l1[w1])
-		return w<<6 | bits.TrailingZeros64(q.l0[w])
+		w = w1<<6 | bits.TrailingZeros64(a.l1[w1])
+		return w<<6 | bits.TrailingZeros64(a.l0[w])
 	}
 	return -1
 }
@@ -188,8 +214,13 @@ func (q *wheelQueue) nextBucket() int {
 }
 
 func (q *wheelQueue) bucketInsert(n *eventNode) {
+	if q.a == nil {
+		if q.a = wheelFree.get(); q.a == nil {
+			q.a = new(wheelArrays)
+		}
+	}
 	i := int(n.at) & wheelMask
-	b := &q.buckets[i]
+	b := &q.a.buckets[i]
 	n.next = nil
 	if b.head == nil {
 		b.head = n
@@ -210,14 +241,14 @@ func (q *wheelQueue) migrate() {
 	}
 }
 
-func (q *wheelQueue) push(n *eventNode) {
+func (q *wheelQueue) push(n *eventNode) bool {
 	q.n++
 	if n.at-q.cur < wheelSpan {
 		q.bucketInsert(n)
-		return
+		return false
 	}
-	q.spilled++
 	q.spill.push(n)
+	return true
 }
 
 func (q *wheelQueue) pop() *eventNode {
@@ -230,7 +261,7 @@ func (q *wheelQueue) pop() *eventNode {
 	q.migrate()
 	if q.l2 != 0 {
 		i := q.nextBucket()
-		b := &q.buckets[i]
+		b := &q.a.buckets[i]
 		n := b.head
 		q.chain = n.next
 		n.next = nil
@@ -255,7 +286,7 @@ func (q *wheelQueue) peekTime() (Time, bool) {
 	}
 	q.migrate()
 	if q.l2 != 0 {
-		return q.buckets[q.nextBucket()].head.at, true
+		return q.a.buckets[q.nextBucket()].head.at, true
 	}
 	if q.spill.size() > 0 {
 		return q.spill.min().at, true

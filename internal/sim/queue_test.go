@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -26,7 +27,7 @@ func TestEQAlgoNames(t *testing.T) {
 func TestQueueDifferentialFuzz(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		wheel := newWheelQueue()
+		wheel := &wheelQueue{}
 		heap := &heapQueue{}
 		var cur Time // queue invariant: pushes never precede the last pop
 		var seq uint64
@@ -430,5 +431,128 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 		if avg != 0 {
 			t.Errorf("%s: steady-state RunUntil allocates %.1f/run, want 0", algo, avg)
 		}
+	}
+}
+
+// spillWorkload is a Sim of n procs that mix near compute with sleeps
+// past the wheel's horizon, so a run takes both the bucket and the spill
+// path.
+func spillWorkload(n int) *Sim {
+	s := New(n, 3)
+	for i := 0; i < n; i++ {
+		i := i
+		s.Go("p", i, 0, func(p *Proc) {
+			for r := 0; r < 8; r++ {
+				p.Compute(Time(10 + i))
+				if (r+i)%3 == 0 {
+					p.Sleep(wheelSpan + Time(r*i))
+				}
+			}
+		})
+	}
+	return s
+}
+
+// dropIdleWheels empties the wheel free list, so the next Sim to push
+// allocates a fresh wheel.
+func dropIdleWheels() {
+	wheelFree.Lock()
+	wheelFree.list = nil
+	wheelFree.Unlock()
+}
+
+// TestWheelReleasedEmpty: a Run that drains its queue hands the wheel
+// back, and what it hands back is all-empty — no bucket, no bitmap bit —
+// which is what lets the next Sim use it without clearing it.
+func TestWheelReleasedEmpty(t *testing.T) {
+	dropIdleWheels()
+	s := spillWorkload(16)
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if s.EventsSpilled() == 0 {
+		t.Fatal("workload never spilled")
+	}
+	if w := s.eq.(*wheelQueue); w.a != nil || w.l2 != 0 || w.chain != nil {
+		t.Fatalf("drained queue kept its wheel (a=%p l2=%#x chain=%p)", w.a, w.l2, w.chain)
+	}
+	wheelFree.Lock()
+	defer wheelFree.Unlock()
+	if len(wheelFree.list) != 1 {
+		t.Fatalf("%d idle wheels after one drained Run, want 1", len(wheelFree.list))
+	}
+	a := wheelFree.list[0]
+	for i := range a.buckets {
+		if b := a.buckets[i]; b.head != nil || b.tail != nil {
+			t.Fatalf("released wheel has bucket %d non-empty", i)
+		}
+	}
+	for i, w := range a.l0 {
+		if w != 0 {
+			t.Fatalf("released wheel has l0 word %d = %#x", i, w)
+		}
+	}
+	for i, w := range a.l1 {
+		if w != 0 {
+			t.Fatalf("released wheel has l1 word %d = %#x", i, w)
+		}
+	}
+}
+
+// TestWheelRecycleConcurrent runs Sims back to back on four goroutines,
+// so wheels released by one caller are taken by another. Under -race
+// this checks the free list's hand-over; every run must equal a run on
+// a freshly allocated wheel.
+func TestWheelRecycleConcurrent(t *testing.T) {
+	dropIdleWheels()
+	ref := spillWorkload(32)
+	if err := ref.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 6; i++ {
+				s := spillWorkload(32)
+				if err := s.Run(); err != nil {
+					t.Error(err)
+					return
+				}
+				if s.Now() != ref.Now() || s.EventsFired() != ref.EventsFired() || s.EventsSpilled() != ref.EventsSpilled() {
+					t.Errorf("t=%d fired %d spilled %d, want t=%d fired %d spilled %d",
+						s.Now(), s.EventsFired(), s.EventsSpilled(), ref.Now(), ref.EventsFired(), ref.EventsSpilled())
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestSimRunTwice: a Sim driven again after a Run that released its
+// wheel takes one back on the next push, keeps its clock, and counts
+// fired and spilled events across both Runs.
+func TestSimRunTwice(t *testing.T) {
+	s := New(1, 1)
+	phase := func() {
+		s.Go("p", 0, s.Now(), func(p *Proc) {
+			p.Compute(5)
+			p.Sleep(wheelSpan * 2) // spills
+			p.Compute(5)
+		})
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	phase()
+	t1, fired1, spilled1 := s.Now(), s.EventsFired(), s.EventsSpilled()
+	if spilled1 == 0 {
+		t.Fatal("first Run spilled nothing")
+	}
+	phase()
+	if s.Now() != 2*t1 || s.EventsFired() != 2*fired1 || s.EventsSpilled() != 2*spilled1 {
+		t.Errorf("after two Runs t=%d fired %d spilled %d, want %d %d %d",
+			s.Now(), s.EventsFired(), s.EventsSpilled(), 2*t1, 2*fired1, 2*spilled1)
 	}
 }

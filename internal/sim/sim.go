@@ -21,7 +21,8 @@
 // baseline for differential testing. Both orders events identically by
 // (timestamp, seq), so every trace is byte-identical across algorithms.
 // Event nodes are allocated 64 at a time and recycled through a per-Sim
-// free list, keeping the schedule/fire hot path allocation-free.
+// free list, keeping the schedule/fire hot path allocation-free; the
+// wheel's 1 MiB of buckets passes from a drained Sim to the next.
 package sim
 
 import (
@@ -162,9 +163,16 @@ type Sim struct {
 	cpus   []CPU
 	nextID int
 
+	// spilled counts events that took the wheel's far-future path
+	// (EventsSpilled; deterministic).
+	spilled int64
+
 	running *Proc
 	live    int     // procs not yet done
 	procs   []*Proc // all live procs (p.idx is its position), for diagnostics and Kill
+	// procSlab is the unused rest of the last Proc allocation (Go takes
+	// procs procChunk at a time).
+	procSlab []Proc
 
 	// watchdogNS is the per-proc progress deadline (0: disabled): a proc
 	// blocked with no pending event for longer than this aborts Run with
@@ -205,7 +213,7 @@ func NewEQ(ncpu int, seed int64, algo EQAlgo) *Sim {
 	if algo == EQHeap {
 		s.eq = &heapQueue{}
 	} else {
-		s.eq = newWheelQueue()
+		s.eq = &wheelQueue{}
 	}
 	for i := range s.cpus {
 		s.cpus[i] = CPU{ID: i, Noise: NoNoise{}}
@@ -221,12 +229,7 @@ func (s *Sim) EventsFired() int64 { return s.fired }
 // EventsSpilled returns how many events took the far-future spill path
 // instead of a wheel bucket (always 0 on the heap baseline). Like every
 // queue property, it is a pure function of the seed.
-func (s *Sim) EventsSpilled() int64 {
-	if w, ok := s.eq.(*wheelQueue); ok {
-		return w.spilled
-	}
-	return 0
-}
+func (s *Sim) EventsSpilled() int64 { return s.spilled }
 
 // nodeSlab is how many event nodes one allocation provides.
 const nodeSlab = 64
@@ -286,7 +289,13 @@ func (s *Sim) schedule(at Time, p *Proc, fn func()) {
 	if p != nil {
 		p.hasEvent = true
 	}
-	s.eq.push(s.newNode(at, p, fn))
+	s.push(s.newNode(at, p, fn))
+}
+
+func (s *Sim) push(n *eventNode) {
+	if s.eq.push(n) {
+		s.spilled++
+	}
 }
 
 // At schedules fn to run on the scheduler at virtual time at (clamped to
@@ -309,7 +318,7 @@ func (s *Sim) AfterCancel(d Time, fn func()) (cancel func()) {
 		at = s.now
 	}
 	n := s.newNode(at, nil, fn)
-	s.eq.push(n)
+	s.push(n)
 	return s.cancelFunc(n)
 }
 
@@ -359,7 +368,12 @@ func (s *Sim) Go(name string, cpu int, start Time, fn func(p *Proc)) *Proc {
 		panic(fmt.Sprintf("sim: Go on CPU %d beyond %d CPUs", cpu, len(s.cpus)))
 	}
 	s.nextID++
-	p := &Proc{ID: s.nextID, Name: name, sim: s, cpu: cpu, state: StateRunnable, idx: len(s.procs)}
+	if len(s.procSlab) == 0 {
+		s.procSlab = make([]Proc, procChunk)
+	}
+	p := &s.procSlab[0]
+	s.procSlab = s.procSlab[1:]
+	*p = Proc{ID: s.nextID, Name: name, sim: s, cpu: cpu, state: StateRunnable, idx: len(s.procs)}
 	p.co = getCoro(p, fn)
 	s.live++
 	s.procs = append(s.procs, p)
@@ -369,6 +383,9 @@ func (s *Sim) Go(name string, cpu int, start Time, fn func(p *Proc)) *Proc {
 	s.schedule(start, p, nil)
 	return p
 }
+
+// procChunk is how many Procs one allocation provides.
+const procChunk = 32
 
 // finish accounts a proc whose body has ended, however it ended. It runs
 // on the proc's coroutine before control returns to dispatch.
@@ -436,6 +453,11 @@ func (s *Sim) Run() error {
 			p.hasEvent = false
 			s.dispatch(p)
 		}
+	}
+	// The queue is empty: the wheel's storage goes to the next Sim (a
+	// later push here takes one back).
+	if w, ok := s.eq.(*wheelQueue); ok {
+		w.release()
 	}
 	if s.live > 0 {
 		return s.deadlockError()
